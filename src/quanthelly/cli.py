@@ -19,10 +19,10 @@ from .errors import (CertificateFailed, DecompositionInfeasible,
                      Step3Failed, SupportOutOfRange, Unbounded,
                      VolumeInfeasible, WitnessContainmentFailed)
 from .geometry import ellipsoid_volume
-from .helly import (ColorClasses, colell_pipeline, saxuso_scenario,
-                    theorem1_pipeline, verify_colorful_hypothesis)
-from .instances import (GeneratorSpec, InstanceFile, emit_instance,
-                        emit_report, generate, parse_instance)
+from .helly import (colell_pipeline, saxuso_scenario, theorem1_pipeline,
+                    verify_colorful_hypothesis)
+from .instances import (GeneratorSpec, emit_instance, emit_report, generate,
+                        parse_instance)
 from .john import critical_subfamily
 from .solvers import SolverSettings, lowest_ellipsoid, mvie
 
@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--skip-hypothesis-check", action="store_true",
                         help="skip the combinatorial hypothesis verification")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for selection enumeration")
+                        help="accepted for compatibility; selection sweeps "
+                             "run serially and reports never depend on it")
     common.add_argument("--out", type=str, default=None,
                         help="path for the report file")
 
@@ -168,7 +169,7 @@ def _cmd_verify(args) -> int:
     inst = parse_instance(args.instance)
     k = args.k if args.k is not None else inst.classes.n_classes
     rep = verify_colorful_hypothesis(inst.classes, k, inst.target_volume,
-                                     _settings(args), threads=args.threads)
+                                     _settings(args))
     doc = rep.to_dict()
     doc["k"] = k
     doc["target_volume"] = inst.target_volume
@@ -202,12 +203,12 @@ def _cmd_run(args) -> int:
         return EXIT_OK
     if args.pipeline == "colell":
         rep = colell_pipeline(inst.classes, inst.target_volume, settings,
-                              check_hypothesis=check, threads=args.threads)
+                              check_hypothesis=check)
     elif args.pipeline == "theorem1":
         rep = theorem1_pipeline(inst.classes, inst.target_volume, settings,
-                                check_hypothesis=check, threads=args.threads)
+                                check_hypothesis=check)
     else:
-        rep = saxuso_scenario(inst.classes, settings, threads=args.threads)
+        rep = saxuso_scenario(inst.classes, settings)
     print(f"{args.pipeline} witness_class={rep.witness_class} "
           f"witness_volume={_fmt(rep.witness_volume)}")
     _emit(args, _report_envelope(args, rep.to_dict()))

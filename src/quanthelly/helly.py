@@ -1,32 +1,31 @@
 """Colorful selection combinatorics, Minkowski differences, hypothesis
 verification, and the constructive theorem pipelines.
 
-Selection evaluation is embarrassingly parallel: workers share only immutable
-inputs and results are merged by a deterministic reduction (height, then
-center, then shape entries), so reports are identical for any worker count.
+Every pipeline stage that visits colorful selections runs the one serial
+sweep ``_sweep``: selections in lexicographic order, one solve each.  Ties
+between selections are broken by a deterministic order (height, then center,
+then shape entries), so a report depends only on the instance and settings.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import (DimensionMismatch, HypothesisViolated, InstanceError,
-                     NormalizationFailed, NoWitness, Step3Failed,
-                     Unbounded, WitnessContainmentFailed)
+from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
+                     InstanceError, NormalizationFailed, NoWitness,
+                     Step3Failed, Unbounded, WitnessContainmentFailed)
 from .geometry import (AffineMap, Ellipsoid, HPolytope, chebyshev_center,
                        ellipsoid_in_polytope, ellipsoid_height,
                        ellipsoid_volume, has_interior, intersect_all,
                        is_bounded, min_semiaxis, support_value,
                        transform_ellipsoid, transform_polytope)
-from .solvers import (DEFAULT_SETTINGS, SolverSettings, SolveOutcome,
-                      height_halfspace, lowest_ellipsoid, lp_feasible, mvie,
-                      slice_below)
+from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid,
+                      lp_feasible, mvie, slice_below)
 
 # How closely two ellipsoids must agree (max of shape Frobenius distance and
 # center distance) to count as equal in the drop-one-body comparison.
@@ -183,12 +182,20 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all(bodies)
 
 
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def _sweep(classes: ColorClasses, k: int, solve):
+    """Yields (selection, solve(intersection)) for every colorful k-selection,
+    in lexicographic order."""
+    for sel in colorful_selections(classes, k):
+        yield sel, solve(selection_intersection(classes, sel))
+
+
+def _inner(settings: SolverSettings) -> SolverSettings:
+    """Settings for the solves inside a sweep: no boundedness precheck (every
+    member is bounded), no lowest-ellipsoid cross-check, and a duality-gap
+    target no tighter than 1e-7."""
+    return dataclasses.replace(settings, check_preconditions=False,
+                               cross_check=False,
+                               gap_target=max(settings.gap_target, 1e-7))
 
 
 # ---------------------------------------------------------------------------
@@ -259,35 +266,36 @@ class HypothesisReport:
 
 def verify_colorful_hypothesis(classes: ColorClasses, k: int,
                                target_volume: float,
-                               settings: SolverSettings = DEFAULT_SETTINGS,
-                               threads: int = 1) -> HypothesisReport:
+                               settings: SolverSettings = DEFAULT_SETTINGS
+                               ) -> HypothesisReport:
     """Checks every colorful k-selection's intersection for an inscribed
-    ellipsoid of the target volume; stops at the first failure."""
-    inner = dataclasses.replace(settings, check_preconditions=False,
-                                cross_check=False,
-                                gap_target=max(settings.gap_target, 1e-7))
-    sels = list(colorful_selections(classes, k))
+    ellipsoid of the target volume; stops at the first failure.
 
-    def volume_of(sel):
+    An empty intersection (EmptyInterior) is a violation; any other solver
+    error is a numerical failure and propagates.
+    """
+    inner = _inner(settings)
+    total = selection_count(classes, k)
+
+    def volume_of(P):
         try:
-            return mvie(selection_intersection(classes, sel), inner).volume, None
-        except Exception as exc:  # solver errors attributed to the selection
+            return mvie(P, inner).volume, None
+        except EmptyInterior as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _pmap(volume_of, sels, threads)
     min_volume = None
     min_sel = None
-    for sel, (vol, err) in zip(sels, results):
+    for sel, (vol, err) in _sweep(classes, k, volume_of):
         if err is not None:
-            return HypothesisReport(False, len(sels), min_volume, min_sel,
+            return HypothesisReport(False, total, min_volume, min_sel,
                                     sel, err)
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
         if vol < target_volume * (1.0 - 1e-6):
             return HypothesisReport(
-                False, len(sels), min_volume, min_sel, sel,
+                False, total, min_volume, min_sel, sel,
                 f"ellipsoid volume {vol:.12g} below target {target_volume:.12g}")
-    return HypothesisReport(True, len(sels), min_volume, min_sel, None, None)
+    return HypothesisReport(True, total, min_volume, min_sel, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +347,15 @@ def _ellipsoid_gap(E1: Ellipsoid, E2: Ellipsoid) -> float:
                float(np.linalg.norm(E1.center - E2.center)))
 
 
+def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
+                    inner: SolverSettings):
+    """The lowest ellipsoid of every colorful k-selection as (selection,
+    outcome) pairs, and the pair whose ellipsoid is highest (first on ties)."""
+    outs = list(_sweep(classes, k, lambda P: lowest_ellipsoid(
+        P, target_volume, inner)))
+    return outs, max(outs, key=lambda so: _ellipsoid_sort_key(so[1].ellipsoid))
+
+
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
     for mi, body in enumerate(members):
         if not ellipsoid_in_polytope(E, body, tol):
@@ -348,8 +365,7 @@ def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
 
 def colell_pipeline(classes: ColorClasses, target_volume: float,
                     settings: SolverSettings = DEFAULT_SETTINGS,
-                    check_hypothesis: bool = True,
-                    threads: int = 1) -> PipelineReport:
+                    check_hypothesis: bool = True) -> PipelineReport:
     """Many-color-classes pipeline: with d(d+3)/2 classes whose colorful
     selections all contain an ellipsoid of the target volume, produce a class
     whose full intersection contains one.
@@ -367,26 +383,14 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
             f"got {classes.n_classes}")
     if check_hypothesis:
         rep = verify_colorful_hypothesis(classes, nc, target_volume,
-                                         settings, threads)
+                                         settings)
         if not rep.passed:
             raise HypothesisViolated(
                 f"colorful hypothesis fails: {rep.failure_reason}",
                 failure=rep.failure)
-    inner = dataclasses.replace(settings, check_preconditions=False,
-                                cross_check=False,
-                                gap_target=max(settings.gap_target, 1e-7))
-    sels = list(colorful_selections(classes, nc))
-
-    def lowest_of(sel):
-        out = lowest_ellipsoid(selection_intersection(classes, sel),
-                               target_volume, inner)
-        return out
-
-    outs = _pmap(lowest_of, sels, threads)
-    keys = [_ellipsoid_sort_key(o.ellipsoid) for o in outs]
-    best = max(range(len(sels)), key=lambda i: keys[i])
-    e_max = outs[best].ellipsoid
-    sel_max = sels[best]
+    inner = _inner(settings)
+    outs, (sel_max, best) = _highest_lowest(classes, nc, target_volume, inner)
+    e_max = best.ellipsoid
 
     # Drop one body at a time from the defining selection; some class's removal
     # must leave e_max lowest.
@@ -414,7 +418,8 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
             "target_volume": target_volume,
             "defining_selection": sel_max,
             "e_max_height": ellipsoid_height(e_max),
-            "selection_heights": [ellipsoid_height(o.ellipsoid) for o in outs],
+            "selection_heights": [ellipsoid_height(o.ellipsoid)
+                                  for _, o in outs],
             "drop_one_gaps": gaps,
         },
         wall_time=time.perf_counter() - t_start)
@@ -422,8 +427,7 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
 
 def theorem1_pipeline(classes: ColorClasses, target_volume: float,
                       settings: SolverSettings = DEFAULT_SETTINGS,
-                      check_hypothesis: bool = True,
-                      threads: int = 1) -> PipelineReport:
+                      check_hypothesis: bool = True) -> PipelineReport:
     """Few-color-classes pipeline: 3d classes, colorful selections of 2d sets.
 
     Constructs the highest lowest-ellipsoid over (2d-1)-selections, normalizes
@@ -439,27 +443,17 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
             f"got {classes.n_classes}")
     if check_hypothesis:
         rep = verify_colorful_hypothesis(classes, 2 * d, target_volume,
-                                         settings, threads)
+                                         settings)
         if not rep.passed:
             raise HypothesisViolated(
                 f"colorful hypothesis fails: {rep.failure_reason}",
                 failure=rep.failure)
-    inner = dataclasses.replace(settings, check_preconditions=False,
-                                cross_check=False,
-                                gap_target=max(settings.gap_target, 1e-7))
+    inner = _inner(settings)
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
-    sels = list(colorful_selections(classes, 2 * d - 1))
-
-    def lowest_of(sel):
-        return lowest_ellipsoid(selection_intersection(classes, sel),
-                                target_volume, inner)
-
-    outs = _pmap(lowest_of, sels, threads)
-    keys = [_ellipsoid_sort_key(o.ellipsoid) for o in outs]
-    best = max(range(len(sels)), key=lambda i: keys[i])
-    e_star = outs[best].ellipsoid
-    sel_star = sels[best]
+    _, (sel_star, best) = _highest_lowest(classes, 2 * d - 1, target_volume,
+                                          inner)
+    e_star = best.ellipsoid
 
     # (2) normalize so the chosen ellipsoid becomes the unit ball and its
     # supporting height half-space {x_d <= height} becomes {x_d <= 1}.  The
@@ -499,13 +493,11 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     rem_classes = ColorClasses(
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
-    rem_sels = list(colorful_selections(rem_classes, d + 1))
 
-    def semiaxis_of(sel):
-        Q = intersect_all([selection_intersection(rem_classes, sel), M])
-        return min_semiaxis(mvie(Q, inner).ellipsoid)
+    def semiaxis_of(P):
+        return min_semiaxis(mvie(intersect_all([P, M]), inner).ellipsoid)
 
-    minima = _pmap(semiaxis_of, rem_sels, threads)
+    minima = [m for _, m in _sweep(rem_classes, d + 1, semiaxis_of)]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",
@@ -540,8 +532,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
 
 
 def saxuso_scenario(classes: ColorClasses,
-                    settings: SolverSettings = DEFAULT_SETTINGS,
-                    threads: int = 1) -> PipelineReport:
+                    settings: SolverSettings = DEFAULT_SETTINGS
+                    ) -> PipelineReport:
     """d(d+3)/2 classes with 2d-selection hypothesis at volume 1: measure the
     worst full-selection MVIE volume and run the many-classes pipeline at it."""
     t_start = time.perf_counter()
@@ -551,24 +543,17 @@ def saxuso_scenario(classes: ColorClasses,
         raise InstanceError(
             f"scenario needs exactly {nc} classes for d={d}, "
             f"got {classes.n_classes}")
-    rep = verify_colorful_hypothesis(classes, 2 * d, 1.0, settings, threads)
+    rep = verify_colorful_hypothesis(classes, 2 * d, 1.0, settings)
     if not rep.passed:
         raise HypothesisViolated(
             f"2d-selection hypothesis fails: {rep.failure_reason}",
             failure=rep.failure)
-    inner = dataclasses.replace(settings, check_preconditions=False,
-                                cross_check=False,
-                                gap_target=max(settings.gap_target, 1e-7))
-    sels = list(colorful_selections(classes, nc))
-
-    def volume_of(sel):
-        return mvie(selection_intersection(classes, sel), inner).volume
-
-    vols = _pmap(volume_of, sels, threads)
-    v = min(vols)
+    inner = _inner(settings)
+    v = min(vol for _, vol in _sweep(classes, nc,
+                                     lambda P: mvie(P, inner).volume))
     v_eff = v * (1.0 - 1e-9)
     report = colell_pipeline(classes, v_eff, settings,
-                             check_hypothesis=False, threads=threads)
+                             check_hypothesis=False)
     certs = dict(report.certificates)
     certs["worst_selection_volume"] = v
     certs["hypothesis_min_volume"] = rep.min_volume

@@ -4,7 +4,7 @@ subfamilies, and the inscribed ball of an ellipsoid.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize

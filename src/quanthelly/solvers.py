@@ -8,18 +8,18 @@ Solvers are deterministic pure functions of (input, settings).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
                      MaxIterations, Unbounded, VolumeInfeasible)
 from .geometry import (ACTIVE_SLACK_TOL, Ellipsoid, HalfSpace, HPolytope,
-                       chebyshev_center, ellipsoid_volume, intersect,
-                       is_bounded, unit_ball_volume)
+                       chebyshev_center, ellipsoid_volume, is_bounded,
+                       unit_ball_volume)
 
 # Duality-gap target for the barrier path; well below the volume-gap contract.
 _GAP_TARGET = 1e-8
@@ -71,58 +71,64 @@ class _SymSpace:
     """Coordinates on symmetric d x d matrices: one entry per (i, j), i <= j.
 
     Off-diagonal coordinates move both B_ij and B_ji, i.e. the basis matrices
-    are e_i e_j^T + e_j e_i^T.
+    are e_i e_j^T + e_j e_i^T.  Every map is a gather over index arrays built
+    once per d; each float expression keeps the term order of the defining
+    sums, so results do not depend on how they are vectorized.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self.idx = [(i, j) for i in range(d) for j in range(i, d)]
-        self.p = len(self.idx)
+        i, j = np.triu_indices(d)
+        self.p = len(i)
+        self._flat = i * d + j                 # coordinate k -> flat index
+        self._full = np.empty((d, d), dtype=int)
+        self._full[i, j] = self._full[j, i] = np.arange(self.p)
+        self._vec_scale = np.where(i == j, 1.0, 2.0)
+        i, j = i[:, None], j[:, None]
+        # (E_k a)_c = a[src[k, c]], where index d reads an appended zero.
+        col = np.arange(d)[None, :]
+        self._src = np.where(col == i, j, np.where(col == j, i, d))
+        # logdet_hess: H[k, l] = (T1 + T2) + (T3 + T4) for k = (i, j) and
+        # l = (r, s), with T1 = P[r,i] P[j,s], T2 = P[r,j] P[i,s],
+        # T3 = P[s,i] P[j,r], T4 = P[s,j] P[i,r].  T2 exists only for i < j,
+        # T3 only for r < s.  An absent term is 0.0 * -0.0 = -0.0 from the
+        # two slots appended after P, and x + -0.0 == x for every x, signed
+        # zeros included, so the sums equal the loops they replace bitwise.
+        r, s = i.T, j.T
+        k_off, l_off = i != j, r != s
+        present = np.stack(np.broadcast_arrays(True, k_off, l_off,
+                                               k_off & l_off))
+        a = np.stack(np.broadcast_arrays(r * d + i, r * d + j,
+                                         s * d + i, s * d + j))
+        b = np.stack(np.broadcast_arrays(j * d + s, i * d + s,
+                                         j * d + r, i * d + r))
+        self._ha = np.where(present, a, d * d)
+        self._hb = np.where(present, b, d * d + 1)
 
     def mat(self, xb: np.ndarray) -> np.ndarray:
-        B = np.zeros((self.d, self.d))
-        for k, (i, j) in enumerate(self.idx):
-            B[i, j] = xb[k]
-            B[j, i] = xb[k]
-        return B
+        return xb[self._full]
 
     def vec(self, M: np.ndarray) -> np.ndarray:
         """Gradient mapping tr(E_k M) for symmetric M."""
-        v = np.empty(self.p)
-        for k, (i, j) in enumerate(self.idx):
-            v[k] = M[i, i] if i == j else 2.0 * M[i, j]
-        return v
+        return self._vec_scale * M.take(self._flat)
 
     def coords(self, B: np.ndarray) -> np.ndarray:
         """Coordinates of a symmetric matrix (inverse of ``mat``)."""
-        x = np.empty(self.p)
-        for k, (i, j) in enumerate(self.idx):
-            x[k] = B[i, j]
-        return x
+        return B.take(self._flat)
 
     def basis_apply(self, A: np.ndarray) -> np.ndarray:
         """Tensor W with W[k, i] = E_k @ a_i for rows a_i of A; shape (p, m, d)."""
-        m = A.shape[0]
-        W = np.zeros((self.p, m, self.d))
-        for k, (i, j) in enumerate(self.idx):
-            if i == j:
-                W[k, :, i] = A[:, i]
-            else:
-                W[k, :, i] = A[:, j]
-                W[k, :, j] = A[:, i]
-        return W
+        A0 = np.hstack([A, np.zeros((A.shape[0], 1))])
+        return np.ascontiguousarray(A0[:, self._src].transpose(1, 0, 2))
 
     def logdet_hess(self, Binv: np.ndarray) -> np.ndarray:
         """H[k, l] = tr(Binv E_k Binv E_l) (the negated log-det Hessian)."""
-        H = np.empty((self.p, self.p))
-        for k, (i, j) in enumerate(self.idx):
-            if i == j:
-                Mk = np.outer(Binv[:, i], Binv[i, :])
-            else:
-                Mk = np.outer(Binv[:, i], Binv[j, :]) + np.outer(Binv[:, j], Binv[i, :])
-            for l, (r, s) in enumerate(self.idx):
-                H[k, l] = Mk[r, r] if r == s else Mk[r, s] + Mk[s, r]
-        return H
+        P = np.append(Binv.ravel(), (0.0, -0.0))
+        T = P[self._ha] * P[self._hb]
+        return (T[0] + T[1]) + (T[2] + T[3])
+
+
+_sym_space = functools.lru_cache(maxsize=None)(_SymSpace)
 
 
 def _solve_newton_system(H: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
@@ -136,22 +142,6 @@ def _solve_newton_system(H: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
         except np.linalg.LinAlgError:
             jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
     return None
-
-
-class _BarrierProblem:
-    """Interface for the damped-Newton path follower below."""
-
-    n_barrier_terms: int = 0
-
-    def eval(self, x: np.ndarray):
-        """Returns None when x is outside the domain, else a cache object."""
-        raise NotImplementedError
-
-    def value(self, cache, t: float) -> float:
-        raise NotImplementedError
-
-    def grad_hess(self, cache, t: float):
-        raise NotImplementedError
 
 
 def _newton_centering(problem, x, t, budget, tol=_CENTER_TOL):
@@ -217,27 +207,32 @@ def _barrier_path(problem, x0, settings: SolverSettings):
 
 
 # ---------------------------------------------------------------------------
-# MVIE
+# Barrier engine
 
 
-class _MVIEBarrier(_BarrierProblem):
-    """f_t(B, c) = -t log det B - sum_i log(b_i - a_i.c - |B a_i|)."""
+class _Barrier:
+    """f_t(B, c) = objective_t(B, c) - sum_i log s_i over x = (coords(B), c),
+    with containment slacks s_i = b_i - a_i.c - |B a_i|.
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    The objective term supplies its own state (None outside its domain),
+    value, (B, c) gradient, B-block Hessian and number of barrier terms;
+    this class owns the containment term shared by every objective.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, objective):
         self.A = A
         self.b = b
-        self.m, self.d = A.shape
-        self.sym = _SymSpace(self.d)
+        self.objective = objective
+        m, d = A.shape
+        self.sym = _sym_space(d)
         self.W = self.sym.basis_apply(A)
-        self.p = self.sym.p + self.d
-        self.n_barrier_terms = self.m
-
-    def split(self, x):
-        return x[:self.sym.p], x[self.sym.p:]
+        self.p = self.sym.p + d
+        self.n_barrier_terms = m + objective.n_terms
 
     def eval(self, x):
-        xb, c = self.split(x)
-        B = self.sym.mat(xb)
+        """Returns None when x is outside the domain, else a cache object."""
+        B = self.sym.mat(x[:self.sym.p])
+        c = x[self.sym.p:]
         try:
             np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
@@ -249,23 +244,26 @@ class _MVIEBarrier(_BarrierProblem):
         s = self.b - self.A @ c - n
         if np.any(s <= 0.0):
             return None
-        sign, logdet = np.linalg.slogdet(B)
-        return (B, V, n, s, logdet)
+        _, logdet = np.linalg.slogdet(B)
+        state = self.objective.state(B, c, logdet)
+        if state is None:
+            return None
+        return (B, V, n, s, logdet, state)
 
     def value(self, cache, t):
-        _, _, _, s, logdet = cache
-        return -t * logdet - float(np.sum(np.log(s)))
+        _, _, _, s, _, state = cache
+        return self.objective.value(state, t) - float(np.sum(np.log(s)))
 
     def grad_hess(self, cache, t):
-        B, V, n, s, _ = cache
-        sym, pB = self.sym, self.sym.p
+        B, V, n, s, _, state = cache
+        pB = self.sym.p
         Binv = np.linalg.inv(B)
+        g, HB = self.objective.grad_hess(state, Binv, t)
         q = np.einsum('kmd,md->km', self.W, V) / n[None, :]
         G = np.vstack([q, self.A.T])                      # (p, m) grads of phi_i
-        g = np.concatenate([-t * sym.vec(Binv), np.zeros(self.d)])
         g += G @ (1.0 / s)
         H = np.zeros((self.p, self.p))
-        H[:pB, :pB] += t * sym.logdet_hess(Binv)
+        H[:pB, :pB] += HB
         Gs = G / s[None, :]
         H += Gs @ Gs.T
         w = 1.0 / (n * s)
@@ -273,6 +271,83 @@ class _MVIEBarrier(_BarrierProblem):
         qw = q * np.sqrt(w)[None, :]
         H[:pB, :pB] += Ws @ Ws.T - qw @ qw.T
         return g, H
+
+
+class _LogDet:
+    """MVIE objective -t log det B; its state is log det B."""
+
+    n_terms = 0
+
+    def __init__(self, d: int):
+        self.sym = _sym_space(d)
+
+    def state(self, B, c, logdet):
+        return logdet
+
+    def value(self, logdet, t):
+        return -t * logdet
+
+    def grad_hess(self, logdet, Binv, t):
+        g = np.concatenate([-t * self.sym.vec(Binv), np.zeros(self.sym.d)])
+        return g, t * self.sym.logdet_hess(Binv)
+
+
+class _Height:
+    """Lowest-ellipsoid objective t (c_d + |B e_d|) - log(log det B - log v0)."""
+
+    n_terms = 1
+
+    def __init__(self, d: int, log_v0: float):
+        self.sym = _sym_space(d)
+        self.log_v0 = log_v0
+        e_d = np.zeros((1, d))
+        e_d[0, -1] = 1.0
+        self.We = self.sym.basis_apply(e_d)[:, 0, :]      # (p_B, d)
+
+    def state(self, B, c, logdet):
+        u = logdet - self.log_v0
+        if u <= 0.0:
+            return None
+        ve = B[:, -1]
+        return (u, ve, float(np.linalg.norm(ve)), c)
+
+    def value(self, state, t):
+        u, _, ne, c = state
+        return t * (c[-1] + ne) - math.log(u)
+
+    def grad_hess(self, state, Binv, t):
+        u, ve, ne, _ = state
+        sym, pB = self.sym, self.sym.p
+        binv_vec = sym.vec(Binv)
+
+        # height objective
+        qe = self.We @ ve / ne                            # (p_B,)
+        g = np.zeros(pB + sym.d)
+        g[:pB] += t * qe
+        g[-1] += t
+        He = (self.We @ self.We.T - np.outer(qe, qe)) / ne
+
+        # volume barrier
+        g[:pB] += -binv_vec / u
+        Hu = np.outer(binv_vec, binv_vec) / (u * u) + sym.logdet_hess(Binv) / u
+        return g, t * He + Hu
+
+
+def _barrier_solve(P: HPolytope, objective, B0: np.ndarray, c0: np.ndarray,
+                   settings: SolverSettings) -> SolveOutcome:
+    """Follows the barrier path of objective on P from (B0, c0); the outcome's
+    objective is log det B and its active set the near-zero slacks."""
+    prob = _Barrier(P.A, P.b, objective)
+    x0 = np.concatenate([prob.sym.coords(B0), c0])
+    x, cache, kkt = _barrier_path(prob, x0, settings)
+    B, _, _, s, logdet, _ = cache
+    active = tuple(int(i) for i in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
+    return SolveOutcome(Ellipsoid(B, x[prob.sym.p:]), float(logdet), kkt,
+                        active)
+
+
+# ---------------------------------------------------------------------------
+# MVIE
 
 
 def _interior_start(P: HPolytope, settings: SolverSettings):
@@ -288,95 +363,12 @@ def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutc
     if settings.check_preconditions and not is_bounded(P):
         raise Unbounded("mvie requires a bounded polytope")
     c0, r = _interior_start(P, settings)
-    prob = _MVIEBarrier(P.A, P.b)
-    x0 = np.concatenate([prob.sym.coords(0.9 * r * np.eye(P.dim)), c0])
-    x, cache, kkt = _barrier_path(prob, x0, settings)
-    xb, c = prob.split(x)
-    B = prob.sym.mat(xb)
-    _, _, _, s, logdet = cache
-    active = tuple(int(i) for i in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-    return SolveOutcome(Ellipsoid(B, c), float(logdet), kkt, active)
+    return _barrier_solve(P, _LogDet(P.dim), 0.9 * r * np.eye(P.dim), c0,
+                          settings)
 
 
 # ---------------------------------------------------------------------------
 # Lowest ellipsoid
-
-
-class _LowestBarrier(_BarrierProblem):
-    """f_t = t (c_d + |B e_d|) - log(log det B - log v0) - sum_i log s_i."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, log_v0: float):
-        self.A = A
-        self.b = b
-        self.log_v0 = log_v0
-        self.m, self.d = A.shape
-        self.sym = _SymSpace(self.d)
-        self.W = self.sym.basis_apply(A)
-        e_d = np.zeros((1, self.d))
-        e_d[0, -1] = 1.0
-        self.We = self.sym.basis_apply(e_d)[:, 0, :]      # (p_B, d)
-        self.p = self.sym.p + self.d
-        self.n_barrier_terms = self.m + 1
-
-    def split(self, x):
-        return x[:self.sym.p], x[self.sym.p:]
-
-    def eval(self, x):
-        xb, c = self.split(x)
-        B = self.sym.mat(xb)
-        try:
-            np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            return None
-        V = self.A @ B
-        n = np.linalg.norm(V, axis=1)
-        if np.any(n <= 0.0):
-            return None
-        s = self.b - self.A @ c - n
-        if np.any(s <= 0.0):
-            return None
-        _, logdet = np.linalg.slogdet(B)
-        u = logdet - self.log_v0
-        if u <= 0.0:
-            return None
-        ve = B[:, -1]
-        ne = float(np.linalg.norm(ve))
-        return (B, V, n, s, u, ve, ne, c)
-
-    def value(self, cache, t):
-        _, _, _, s, u, _, ne, c = cache
-        return t * (c[-1] + ne) - math.log(u) - float(np.sum(np.log(s)))
-
-    def grad_hess(self, cache, t):
-        B, V, n, s, u, ve, ne, _ = cache
-        sym, pB = self.sym, self.sym.p
-        Binv = np.linalg.inv(B)
-        binv_vec = sym.vec(Binv)
-
-        # height objective
-        qe = self.We @ ve / ne                            # (p_B,)
-        g = np.zeros(self.p)
-        g[:pB] += t * qe
-        g[pB + self.d - 1] += t
-        He = (self.We @ self.We.T - np.outer(qe, qe)) / ne
-
-        # volume barrier
-        g[:pB] += -binv_vec / u
-        Hu = np.outer(binv_vec, binv_vec) / (u * u) + sym.logdet_hess(Binv) / u
-
-        # containment constraints
-        q = np.einsum('kmd,md->km', self.W, V) / n[None, :]
-        G = np.vstack([q, self.A.T])
-        g += G @ (1.0 / s)
-        H = np.zeros((self.p, self.p))
-        H[:pB, :pB] += t * He + Hu
-        Gs = G / s[None, :]
-        H += Gs @ Gs.T
-        w = 1.0 / (n * s)
-        Ws = (self.W * np.sqrt(w)[None, :, None]).reshape(pB, -1)
-        qw = q * np.sqrt(w)[None, :]
-        H[:pB, :pB] += Ws @ Ws.T - qw @ qw.T
-        return g, H
 
 
 def height_halfspace(d: int, tau: float) -> HalfSpace:
@@ -420,15 +412,8 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
         rho = (target_volume / v_max) ** (1.0 / d)
         sigma = min(0.05, 0.5 * (1.0 - rho))
         B0 = (1.0 - sigma) * base.ellipsoid.shape
-        prob = _LowestBarrier(P.A, P.b, log_v0)
-        x0 = np.concatenate([prob.sym.coords(B0), base.ellipsoid.center])
-        x, cache, kkt = _barrier_path(prob, x0, settings)
-        xb, c = prob.split(x)
-        B = prob.sym.mat(xb)
-        _, _, _, s, _, _, ne, _ = cache
-        height = float(c[-1] + ne)
-        active = tuple(int(i) for i in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-        out = SolveOutcome(Ellipsoid(B, c), height, kkt, active)
+        out = _barrier_solve(P, _Height(d, log_v0), B0,
+                             base.ellipsoid.center, settings)
 
     tau = _height(out.ellipsoid)
     if settings.cross_check:

@@ -13,8 +13,8 @@ from quanthelly import (AffineMap, Ellipsoid, HPolytope, SolverSettings,
                         transform_polytope)
 from quanthelly.errors import (CertificateFailed, EmptyInterior, Unbounded,
                                VolumeInfeasible)
-from quanthelly.solvers import (_LowestBarrier, _MVIEBarrier, height_halfspace,
-                                slice_below)
+from quanthelly.solvers import (_Barrier, _Height, _LogDet, _SymSpace,
+                                height_halfspace, slice_below)
 
 from _oracles import lowest_oracle, mvie_oracle
 
@@ -59,18 +59,50 @@ def _fd_check(problem, x, t, h=1e-6):
     assert np.abs(H - H_fd).max() / scale < 1e-3
 
 
-def test_mvie_barrier_derivatives(rng):
-    P = bounded_random_polytope(rng, 2)
-    prob = _MVIEBarrier(P.A, P.b)
-    x = np.array([0.2, 0.01, 0.25, 0.03, -0.02])
-    _fd_check(prob, x, t=3.0)
+def _barrier_point(d, diag0):
+    """A small interior iterate: B has diagonal diag0, diag0 + 0.05, ... and
+    off-diagonal 0.01; the center is (0.03, -0.02, 0.01)[:d]."""
+    B = np.diag(diag0 + 0.05 * np.arange(d)) + 0.01 * (1.0 - np.eye(d))
+    c = np.array([0.03, -0.02, 0.01])[:d]
+    return np.concatenate([_SymSpace(d).coords(B), c])
 
 
-def test_lowest_barrier_derivatives(rng):
-    P = bounded_random_polytope(rng, 2)
-    prob = _LowestBarrier(P.A, P.b, math.log(0.02))
-    x = np.array([0.25, 0.01, 0.3, 0.03, -0.02])
-    _fd_check(prob, x, t=3.0)
+# d=3 is needed too: at d=2 there is a single off-diagonal coordinate, so a
+# mix-up in the coordinate order would not show.
+@pytest.mark.parametrize("d", [2, 3])
+def test_mvie_barrier_derivatives(rng, d):
+    P = bounded_random_polytope(rng, d)
+    x = _barrier_point(d, 0.2)
+    _fd_check(_Barrier(P.A, P.b, _LogDet(d)), x, t=3.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lowest_barrier_derivatives(rng, d):
+    P = bounded_random_polytope(rng, d)
+    x = _barrier_point(d, 0.25)
+    _fd_check(_Barrier(P.A, P.b, _Height(d, math.log(0.02))), x, t=3.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_sym_space_maps_match_basis_matrices(rng, d):
+    sym = _SymSpace(d)
+    idx = [(i, j) for i in range(d) for j in range(i, d)]
+    assert sym.p == len(idx)
+    E = np.zeros((sym.p, d, d))
+    for k, (i, j) in enumerate(idx):
+        E[k, i, j] = E[k, j, i] = 1.0
+    R = rng.normal(size=(d, d))
+    M = R + R.T
+    P = np.linalg.inv(R @ R.T + d * np.eye(d))
+    A = rng.normal(size=(5, d))
+    assert np.array_equal(sym.mat(sym.coords(M)), M)
+    assert np.array_equal([sym.mat(e) for e in np.eye(sym.p)], E)
+    assert np.allclose(sym.vec(M), [np.trace(Ek @ M) for Ek in E],
+                       rtol=1e-14, atol=1e-14)
+    H = [[np.trace(P @ Ek @ P @ El) for El in E] for Ek in E]
+    assert np.allclose(sym.logdet_hess(P), H, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(sym.basis_apply(A),
+                          np.einsum('kcd,md->kmc', E, A))
 
 
 # ---------------------------------------------------------------------------
