@@ -7,6 +7,7 @@ failure; 4 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -139,9 +140,22 @@ def _solve_outcome_dict(out) -> dict:
     }
 
 
+def _selected_body(args, classes):
+    """The --class/--member body; an index out of range is an input error."""
+    ci, mi = args.class_index, args.member
+    if not 0 <= ci < classes.n_classes:
+        raise InstanceError(f"--class {ci} is out of range: the instance has "
+                            f"{classes.n_classes} classes")
+    members = classes.classes[ci]
+    if not 0 <= mi < len(members):
+        raise InstanceError(f"--member {mi} is out of range: class {ci} has "
+                            f"{len(members)} members")
+    return members[mi]
+
+
 def _cmd_mvie(args) -> int:
     inst = parse_instance(args.instance)
-    body = inst.classes.body(args.class_index, args.member)
+    body = _selected_body(args, inst.classes)
     out = mvie(body, _settings(args))
     print(f"mvie class={args.class_index} member={args.member} "
           f"volume={_fmt(ellipsoid_volume(out.ellipsoid))} "
@@ -152,8 +166,11 @@ def _cmd_mvie(args) -> int:
 
 def _cmd_lowest(args) -> int:
     inst = parse_instance(args.instance)
-    body = inst.classes.body(args.class_index, args.member)
+    body = _selected_body(args, inst.classes)
     target = inst.target_volume if args.volume is None else args.volume
+    if not (math.isfinite(target) and target > 0.0):
+        raise InstanceError(f"target volume must be positive and finite, "
+                            f"got {target}")
     out = lowest_ellipsoid(body, target, _settings(args))
     print(f"lowest class={args.class_index} member={args.member} "
           f"height={_fmt(out.objective)} "
@@ -168,6 +185,9 @@ def _cmd_lowest(args) -> int:
 def _cmd_verify(args) -> int:
     inst = parse_instance(args.instance)
     k = args.k if args.k is not None else inst.classes.n_classes
+    if not 1 <= k <= inst.classes.n_classes:
+        raise InstanceError(f"--k must lie in 1..{inst.classes.n_classes}, "
+                            f"got {k}")
     rep = verify_colorful_hypothesis(inst.classes, k, inst.target_volume,
                                      _settings(args))
     doc = rep.to_dict()

@@ -1,10 +1,14 @@
 """Colorful selection combinatorics, Minkowski differences, hypothesis
 verification, and the constructive theorem pipelines.
 
-Every pipeline stage that visits colorful selections runs the one serial
-sweep ``_sweep``: selections in lexicographic order, one solve each.  Ties
-between selections are broken by a deterministic order (height, then center,
-then shape entries), so a report depends only on the instance and settings.
+Every pipeline stage that visits colorful selections runs the one sweep
+``_sweep``: the selections in lexicographic order, their intersections handed
+to a batched solver (``mvie_batch`` or ``lowest_ellipsoid_batch``) that runs
+the start-point LPs in that order and then solves the whole sweep as stacked
+Newton problems.  Each outcome is bitwise the one a lone solve gives, and the
+first failure in selection order is the one raised.  Ties between selections
+are broken by a deterministic order (height, then center, then shape
+entries), so a report depends only on the instance and settings.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from .geometry import (AffineMap, Ellipsoid, HPolytope, chebyshev_center,
                        is_bounded, min_semiaxis, support_value,
                        transform_ellipsoid, transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid,
-                      lp_feasible, mvie, slice_below)
+                      lowest_ellipsoid_batch, lp_feasible, mvie, mvie_batch,
+                      slice_below)
 
 # How closely two ellipsoids must agree (max of shape Frobenius distance and
 # center distance) to count as equal in the drop-one-body comparison.
@@ -182,11 +187,27 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all(bodies)
 
 
-def _sweep(classes: ColorClasses, k: int, solve):
-    """Yields (selection, solve(intersection)) for every colorful k-selection,
-    in lexicographic order."""
-    for sel in colorful_selections(classes, k):
-        yield sel, solve(selection_intersection(classes, sel))
+def _sweep(classes: ColorClasses, k: int, solve_batch) -> list:
+    """(selection, outcome) pairs for the colorful k-selections in
+    lexicographic order.  ``solve_batch`` receives their intersections as a
+    lazy iterable and returns the outcomes in that order through the first
+    failure (see ``mvie_batch``), so selections past a failing start LP are
+    never enumerated; a failure is the outcome of the last pair."""
+    sels = []
+
+    def intersections():
+        for sel in colorful_selections(classes, k):
+            sels.append(sel)
+            yield selection_intersection(classes, sel)
+
+    return list(zip(sels, solve_batch(intersections())))
+
+
+def _solved(pairs: list) -> list:
+    """The pairs of a sweep; raises the failure that ends it, if any."""
+    if pairs and isinstance(pairs[-1][1], Exception):
+        raise pairs[-1][1]
+    return pairs
 
 
 def _inner(settings: SolverSettings) -> SolverSettings:
@@ -269,26 +290,27 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
                                settings: SolverSettings = DEFAULT_SETTINGS
                                ) -> HypothesisReport:
     """Checks every colorful k-selection's intersection for an inscribed
-    ellipsoid of the target volume; stops at the first failure.
+    ellipsoid of the target volume and reports the first failure in
+    lexicographic order.
 
-    An empty intersection (EmptyInterior) is a violation; any other solver
-    error is a numerical failure and propagates.
+    The start-point LPs run in selection order and stop at the first empty
+    intersection; the selections before it are solved as one batch and
+    scanned in order, so the report is the one a selection-by-selection
+    check that stops at the first failure gives.  An empty intersection
+    (EmptyInterior) is a violation; any other solver error is a numerical
+    failure and propagates.
     """
     inner = _inner(settings)
     total = selection_count(classes, k)
-
-    def volume_of(P):
-        try:
-            return mvie(P, inner).volume, None
-        except EmptyInterior as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
     min_volume = None
     min_sel = None
-    for sel, (vol, err) in _sweep(classes, k, volume_of):
-        if err is not None:
-            return HypothesisReport(False, total, min_volume, min_sel,
-                                    sel, err)
+    for sel, out in _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner)):
+        if isinstance(out, EmptyInterior):
+            return HypothesisReport(False, total, min_volume, min_sel, sel,
+                                    f"{type(out).__name__}: {out}")
+        if isinstance(out, Exception):
+            raise out
+        vol = out.volume
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
         if vol < target_volume * (1.0 - 1e-6):
@@ -351,8 +373,8 @@ def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
                     inner: SolverSettings):
     """The lowest ellipsoid of every colorful k-selection as (selection,
     outcome) pairs, and the pair whose ellipsoid is highest (first on ties)."""
-    outs = list(_sweep(classes, k, lambda P: lowest_ellipsoid(
-        P, target_volume, inner)))
+    outs = _solved(_sweep(classes, k, lambda Ps: lowest_ellipsoid_batch(
+        Ps, target_volume, inner)))
     return outs, max(outs, key=lambda so: _ellipsoid_sort_key(so[1].ellipsoid))
 
 
@@ -494,10 +516,11 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
 
-    def semiaxis_of(P):
-        return min_semiaxis(mvie(intersect_all([P, M]), inner).ellipsoid)
+    def cut_mvies(Ps):
+        return mvie_batch((intersect_all([P, M]) for P in Ps), inner)
 
-    minima = [m for _, m in _sweep(rem_classes, d + 1, semiaxis_of)]
+    minima = [min_semiaxis(out.ellipsoid)
+              for _, out in _solved(_sweep(rem_classes, d + 1, cut_mvies))]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",
@@ -549,8 +572,8 @@ def saxuso_scenario(classes: ColorClasses,
             f"2d-selection hypothesis fails: {rep.failure_reason}",
             failure=rep.failure)
     inner = _inner(settings)
-    v = min(vol for _, vol in _sweep(classes, nc,
-                                     lambda P: mvie(P, inner).volume))
+    v = min(out.volume for _, out in _solved(
+        _sweep(classes, nc, lambda Ps: mvie_batch(Ps, inner))))
     v_eff = v * (1.0 - 1e-9)
     report = colell_pipeline(classes, v_eff, settings,
                              check_hypothesis=False)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -128,7 +129,12 @@ def parse_instance(path: Union[str, Path]) -> InstanceFile:
         raise InstanceError("'dimension' must be an integer")
     if d < 1:
         raise InstanceError("'dimension' must be positive")
-    target = float(raw.get("target_volume", 1.0))
+    try:
+        target = float(raw.get("target_volume", 1.0))
+    except (TypeError, ValueError):
+        raise InstanceError("'target_volume' must be a number")
+    if not (math.isfinite(target) and target > 0.0):
+        raise InstanceError("'target_volume' must be positive and finite")
     if not isinstance(raw["classes"], list) or not raw["classes"]:
         raise InstanceError("'classes' must be a non-empty list")
     classes = []

@@ -2,13 +2,21 @@
 lowest ellipsoid of prescribed volume, LP feasibility, exact 2-D area.
 
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
-self-concordant formulation over (B, c) with B symmetric positive definite.
-Solvers are deterministic pure functions of (input, settings).
+self-concordant formulation over (B, c) with B symmetric positive definite
+(Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
+stack of problems at once: ``mvie_batch`` and ``lowest_ellipsoid_batch``
+take a sequence of polytopes, and ``mvie`` and ``lowest_ellipsoid`` are
+their batches of one.  Per-problem masks stand in for the control flow of a
+lone solve, and every row of a stacked computation makes the float
+operations of a lone solve, so each outcome is bitwise independent of the
+batch it was solved in.  Solvers are deterministic pure functions of (input,
+settings).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Optional
 
@@ -72,8 +80,9 @@ class _SymSpace:
 
     Off-diagonal coordinates move both B_ij and B_ji, i.e. the basis matrices
     are e_i e_j^T + e_j e_i^T.  Every map is a gather over index arrays built
-    once per d; each float expression keeps the term order of the defining
-    sums, so results do not depend on how they are vectorized.
+    once per d and takes one matrix or a stack of them (leading axes); each
+    float expression keeps the term order of the defining sums, so results
+    do not depend on how they are vectorized.
     """
 
     def __init__(self, d: int):
@@ -106,104 +115,86 @@ class _SymSpace:
         self._hb = np.where(present, b, d * d + 1)
 
     def mat(self, xb: np.ndarray) -> np.ndarray:
-        return xb[self._full]
+        return xb[..., self._full]
 
     def vec(self, M: np.ndarray) -> np.ndarray:
         """Gradient mapping tr(E_k M) for symmetric M."""
-        return self._vec_scale * M.take(self._flat)
+        return self._vec_scale * self.coords(M)
 
     def coords(self, B: np.ndarray) -> np.ndarray:
         """Coordinates of a symmetric matrix (inverse of ``mat``)."""
-        return B.take(self._flat)
+        return B.reshape(B.shape[:-2] + (-1,))[..., self._flat]
 
     def basis_apply(self, A: np.ndarray) -> np.ndarray:
-        """Tensor W with W[k, i] = E_k @ a_i for rows a_i of A; shape (p, m, d)."""
-        A0 = np.hstack([A, np.zeros((A.shape[0], 1))])
-        return np.ascontiguousarray(A0[:, self._src].transpose(1, 0, 2))
+        """Tensor W with W[..., k, i, :] = E_k @ a_i for rows a_i of A;
+        shape (..., p, m, d)."""
+        A0 = np.concatenate([A, np.zeros(A.shape[:-1] + (1,))], axis=-1)
+        return np.ascontiguousarray(np.swapaxes(A0[..., self._src], -3, -2))
 
     def logdet_hess(self, Binv: np.ndarray) -> np.ndarray:
         """H[k, l] = tr(Binv E_k Binv E_l) (the negated log-det Hessian)."""
-        P = np.append(Binv.ravel(), (0.0, -0.0))
-        T = P[self._ha] * P[self._hb]
-        return (T[0] + T[1]) + (T[2] + T[3])
+        lead = Binv.shape[:-2]
+        P = np.empty((math.prod(lead), self.d * self.d + 2))
+        P[:, :-2] = Binv.reshape(len(P), -1)
+        P[:, -2:] = (0.0, -0.0)
+        T = P[:, self._ha] * P[:, self._hb]
+        H = (T[:, 0] + T[:, 1]) + (T[:, 2] + T[:, 3])
+        return H.reshape(lead + H.shape[1:])
 
 
 _sym_space = functools.lru_cache(maxsize=None)(_SymSpace)
 
 
-def _solve_newton_system(H: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
-    jitter = 0.0
-    scale = max(float(np.trace(H)) / H.shape[0], 1e-12)
-    for _ in range(6):
+# ---------------------------------------------------------------------------
+# Row-wise kernels over a stack of problems.  Each one makes, per row, the
+# BLAS/LAPACK call or the last-axis reduction a lone problem makes, so the
+# numbers of a row do not depend on the rows beside it.  Per-problem control
+# values (decrements, step counts, Armijo tests) are Python floats: the same
+# IEEE operations as NumPy scalars, without a NumPy call per decision.
+
+
+def _take(cache: tuple, rows) -> tuple:
+    return tuple(a[rows] for a in cache)
+
+
+def _factorable(B: np.ndarray) -> np.ndarray:
+    """Row mask: which matrices of the stack have a Cholesky factor, one
+    factorization at a time (a stacked one raises if any matrix fails)."""
+    ok = np.ones(len(B), dtype=bool)
+    for i, Bi in enumerate(B):
         try:
-            L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
-            y = np.linalg.solve(L, -g)
-            return np.linalg.solve(L.T, y)
+            np.linalg.cholesky(Bi)
         except np.linalg.LinAlgError:
-            jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
-    return None
+            ok[i] = False
+    return ok
 
 
-def _newton_centering(problem, x, t, budget, tol=_CENTER_TOL):
-    """Damped Newton to the analytic center of f_t; returns (x, steps_used)."""
-    steps = 0
-    cache = problem.eval(x)
-    if cache is None:
-        raise MaxIterations("barrier start point left the domain")
-    prev_lam2 = np.inf
-    while steps < budget:
-        g, H = problem.grad_hess(cache, t)
-        delta = _solve_newton_system(H, g)
-        if delta is None:
-            break
-        lam2 = float(-g @ delta)
-        if lam2 / 2.0 <= tol:
-            break
-        # Rounding floor: for huge t the decrement stops improving while the
-        # point is already essentially centered.
-        if lam2 < 1e-5 and lam2 >= 0.99 * prev_lam2:
-            break
-        prev_lam2 = lam2
-        f0 = problem.value(cache, t)
-        step = 1.0
-        accepted = False
-        while step >= 1e-12:
-            cand = x + step * delta
-            cand_cache = problem.eval(cand)
-            if cand_cache is not None and \
-                    problem.value(cand_cache, t) <= f0 + 0.25 * step * (g @ delta):
-                x, cache = cand, cand_cache
-                accepted = True
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solutions of H delta = -g by Cholesky for a stack.  When a
+    factorization fails, each row is solved on its own and retries with
+    growing diagonal jitter; a row whose retries all fail gets delta = 0,
+    whose zero Newton decrement ends its centering.  H holds no -0.0 (it
+    is summed onto +0.0), so H is bitwise the H + 0 I a retry starts from."""
+    try:
+        L = np.linalg.cholesky(H)
+        y = np.linalg.solve(L, -g[:, :, None])
+        return np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    p = H.shape[1]
+    delta = np.zeros_like(g)
+    for i in range(len(g)):
+        jitter = 0.0
+        scale = max(float(np.trace(H[i])) / p, 1e-12)
+        for _ in range(6):
+            try:
+                L = np.linalg.cholesky(H[i] + jitter * np.eye(p))
+                y = np.linalg.solve(L, -g[i])
+                delta[i] = np.linalg.solve(L.T, y)
                 break
-            step *= 0.5
-        steps += 1
-        if not accepted:
-            break
-    return x, cache, steps
-
-
-def _barrier_path(problem, x0, settings: SolverSettings):
-    """Follows the central path until the duality-gap bound reaches the target."""
-    t = 1.0
-    mu = 1.0 / settings.barrier_decrease
-    budget = settings.max_iterations
-    x = x0
-    used = 0
-    while True:
-        # Intermediate centerings only need to stay in the region of quadratic
-        # convergence; the tight tolerance is reserved for the final t.
-        final = problem.n_barrier_terms / t <= settings.gap_target
-        tol = _CENTER_TOL if final else 1e-3
-        x, cache, steps = _newton_centering(problem, x, t, budget - used, tol)
-        used += steps
-        if final:
-            g, _ = problem.grad_hess(cache, t)
-            gap = problem.n_barrier_terms / t
-            return x, cache, gap + float(np.linalg.norm(g)) / t
-        if used >= budget:
-            raise MaxIterations(
-                f"barrier solver exceeded {settings.max_iterations} Newton steps")
-        t *= mu
+            except np.linalg.LinAlgError:
+                jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -212,69 +203,97 @@ def _barrier_path(problem, x0, settings: SolverSettings):
 
 class _Barrier:
     """f_t(B, c) = objective_t(B, c) - sum_i log s_i over x = (coords(B), c),
-    with containment slacks s_i = b_i - a_i.c - |B a_i|.
+    with containment slacks s_i = b_i - a_i.c - |B a_i|, for a stack of
+    problems with one row count: x (N, p), A (N, m, d), b (N, m).
 
-    The objective term supplies its own state (None outside its domain),
-    value, (B, c) gradient, B-block Hessian and number of barrier terms;
-    this class owns the containment term shared by every objective.
+    The objective term supplies its own state, value, (B, c) gradient,
+    B-block Hessian and number of barrier terms, row by row; this class owns
+    the containment term shared by every objective.  An eval cache is a
+    tuple of row-stacked arrays (B, V, n, s, sum log s, *objective state),
+    where the objective state starts with log det B.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, objective):
         self.A = A
         self.b = b
         self.objective = objective
-        m, d = A.shape
+        _, m, d = A.shape
         self.sym = _sym_space(d)
+        self.At = A.transpose(0, 2, 1)
         self.W = self.sym.basis_apply(A)
         self.p = self.sym.p + d
         self.n_barrier_terms = m + objective.n_terms
 
-    def eval(self, x):
-        """Returns None when x is outside the domain, else a cache object."""
-        B = self.sym.mat(x[:self.sym.p])
-        c = x[self.sym.p:]
+    def take(self, rows) -> "_Barrier":
+        """The problems at ``rows``."""
+        return _Barrier(self.A[rows], self.b[rows], self.objective)
+
+    def eval(self, x, rows=None):
+        """Returns (ok, cache): ok lists which rows of x lie inside the domain
+        and the cache holds those rows.  Row i of x belongs to problem
+        rows[i] (to problem i when rows is None)."""
+        A, b = (self.A, self.b) if rows is None else (self.A[rows],
+                                                      self.b[rows])
+        pB = self.sym.p
+        B = self.sym.mat(x[:, :pB])
+        c = x[:, pB:]
         try:
             np.linalg.cholesky(B)
+            pd = None
         except np.linalg.LinAlgError:
-            return None
-        V = self.A @ B
-        n = np.linalg.norm(V, axis=1)
-        if np.any(n <= 0.0):
-            return None
-        s = self.b - self.A @ c - n
-        if np.any(s <= 0.0):
-            return None
+            pd = _factorable(B)
+        V = A @ B
+        # np.linalg.norm(V, axis=2), without its dispatch
+        n = np.sqrt(np.add.reduce(V * V, axis=2))
+        s = b - np.matvec(A, c) - n
+        # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons do)
+        ok = ~(np.fmin(n, s) <= 0.0).any(axis=1)
+        if pd is not None:
+            ok &= pd
+        okl = ok.tolist()
+        if not all(okl):
+            if not any(okl):
+                return okl, ()
+            B, c, V, n, s = B[ok], c[ok], V[ok], n[ok], s[ok]
         _, logdet = np.linalg.slogdet(B)
-        state = self.objective.state(B, c, logdet)
-        if state is None:
-            return None
-        return (B, V, n, s, logdet, state)
+        state, in_domain = self.objective.state(B, c, logdet)
+        cache = (B, V, n, s) + state
+        if in_domain is not None:
+            inl = in_domain.tolist()
+            if not all(inl):
+                cache = _take(cache, in_domain)
+                it = iter(inl)
+                okl = [o and next(it) for o in okl]
+                if not any(inl):
+                    return okl, ()
+        slog = np.add.reduce(np.log(cache[3]), axis=1)
+        return okl, cache[:4] + (slog,) + cache[4:]
 
     def value(self, cache, t):
-        _, _, _, s, _, state = cache
-        return self.objective.value(state, t) - float(np.sum(np.log(s)))
+        return self.objective.value(cache[5:], t) - cache[4]
 
     def grad_hess(self, cache, t):
-        B, V, n, s, _, state = cache
-        pB = self.sym.p
+        B, V, n, s = cache[:4]
+        N, pB = len(s), self.sym.p
         Binv = np.linalg.inv(B)
-        g, HB = self.objective.grad_hess(state, Binv, t)
-        q = np.einsum('kmd,md->km', self.W, V) / n[None, :]
-        G = np.vstack([q, self.A.T])                      # (p, m) grads of phi_i
-        g += G @ (1.0 / s)
-        H = np.zeros((self.p, self.p))
-        H[:pB, :pB] += HB
-        Gs = G / s[None, :]
-        H += Gs @ Gs.T
-        w = 1.0 / (n * s)
-        Ws = (self.W * np.sqrt(w)[None, :, None]).reshape(pB, -1)
-        qw = q * np.sqrt(w)[None, :]
-        H[:pB, :pB] += Ws @ Ws.T - qw @ qw.T
+        g, HB = self.objective.grad_hess(B, cache[5:], Binv, t)
+        q = np.einsum('nkmd,nmd->nkm', self.W, V) / n[:, None, :]
+        G = np.concatenate([q, self.At], axis=1)
+        g += np.matvec(G, 1.0 / s)
+        H = np.zeros((N, self.p, self.p))
+        H[:, :pB, :pB] += HB
+        Gs = G / s[:, None, :]
+        H += Gs @ Gs.transpose(0, 2, 1)
+        rw = np.sqrt(1.0 / (n * s))
+        Ws = (self.W * rw[:, None, :, None]).reshape(N, pB, -1)
+        qw = q * rw[:, None, :]
+        H[:, :pB, :pB] += (Ws @ Ws.transpose(0, 2, 1)
+                           - qw @ qw.transpose(0, 2, 1))
         return g, H
 
 
 class _LogDet:
-    """MVIE objective -t log det B; its state is log det B."""
+    """MVIE objective -t log det B; its state is (log det B,)."""
 
     n_terms = 0
 
@@ -282,18 +301,20 @@ class _LogDet:
         self.sym = _sym_space(d)
 
     def state(self, B, c, logdet):
-        return logdet
+        return (logdet,), None
 
-    def value(self, logdet, t):
-        return -t * logdet
+    def value(self, state, t):
+        return -t * state[0]
 
-    def grad_hess(self, logdet, Binv, t):
-        g = np.concatenate([-t * self.sym.vec(Binv), np.zeros(self.sym.d)])
+    def grad_hess(self, B, state, Binv, t):
+        g = np.concatenate([-t * self.sym.vec(Binv),
+                            np.zeros((len(Binv), self.sym.d))], axis=1)
         return g, t * self.sym.logdet_hess(Binv)
 
 
 class _Height:
-    """Lowest-ellipsoid objective t (c_d + |B e_d|) - log(log det B - log v0)."""
+    """Lowest-ellipsoid objective t (c_d + |B e_d|) - log(log det B - log v0);
+    its state is (log det B, u = log det B - log v0, |B e_d|, c_d + |B e_d|)."""
 
     n_terms = 1
 
@@ -303,47 +324,244 @@ class _Height:
         e_d = np.zeros((1, d))
         e_d[0, -1] = 1.0
         self.We = self.sym.basis_apply(e_d)[:, 0, :]      # (p_B, d)
+        self.WeWe = self.We @ self.We.T
 
     def state(self, B, c, logdet):
         u = logdet - self.log_v0
-        if u <= 0.0:
-            return None
-        ve = B[:, -1]
-        return (u, ve, float(np.linalg.norm(ve)), c)
+        # |B e_d| as np.linalg.norm of the column: a BLAS dot of a copy
+        ve = np.ascontiguousarray(B[:, :, -1])
+        ne = np.sqrt(np.vecdot(ve, ve))
+        return (logdet, u, ne, c[:, -1] + ne), ~(u <= 0.0)
 
     def value(self, state, t):
-        u, _, ne, c = state
-        return t * (c[-1] + ne) - math.log(u)
+        _, u, _, height = state
+        # math.log, not np.log: the two differ in the last bit for some u
+        return t * height - np.array([math.log(v) for v in u.tolist()])
 
-    def grad_hess(self, state, Binv, t):
-        u, ve, ne, _ = state
+    def grad_hess(self, B, state, Binv, t):
+        _, u, ne, _ = state
         sym, pB = self.sym, self.sym.p
         binv_vec = sym.vec(Binv)
 
         # height objective
-        qe = self.We @ ve / ne                            # (p_B,)
-        g = np.zeros(pB + sym.d)
-        g[:pB] += t * qe
-        g[-1] += t
-        He = (self.We @ self.We.T - np.outer(qe, qe)) / ne
+        qe = np.matvec(self.We, B[:, :, -1]) / ne[:, None]
+        g = np.zeros((len(u), pB + sym.d))
+        g[:, :pB] += t * qe
+        g[:, -1] += t
+        He = (self.WeWe - qe[:, :, None] * qe[:, None, :]) / ne[:, None, None]
 
         # volume barrier
-        g[:pB] += -binv_vec / u
-        Hu = np.outer(binv_vec, binv_vec) / (u * u) + sym.logdet_hess(Binv) / u
+        g[:, :pB] += -binv_vec / u[:, None]
+        Hu = (binv_vec[:, :, None] * binv_vec[:, None, :]
+              / (u * u)[:, None, None]
+              + sym.logdet_hess(Binv) / u[:, None, None])
         return g, t * He + Hu
 
 
-def _barrier_solve(P: HPolytope, objective, B0: np.ndarray, c0: np.ndarray,
-                   settings: SolverSettings) -> SolveOutcome:
-    """Follows the barrier path of objective on P from (B0, c0); the outcome's
-    objective is log det B and its active set the near-zero slacks."""
-    prob = _Barrier(P.A, P.b, objective)
-    x0 = np.concatenate([prob.sym.coords(B0), c0])
-    x, cache, kkt = _barrier_path(prob, x0, settings)
-    B, _, _, s, logdet, _ = cache
-    active = tuple(int(i) for i in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-    return SolveOutcome(Ellipsoid(B, x[prob.sym.p:]), float(logdet), kkt,
-                        active)
+def _line_search(prob: _Barrier, x, cache, f, gd, delta, t):
+    """Backtracking line search (Armijo, step halving) along delta from every
+    row of x, where f[k] = f_t(x_k) and gd[k] = g_k . delta_k.  All rows
+    start at step 1 and halve together, so the rows still backtracking share
+    one step.  Returns (x, cache, moved) with the accepted rows moved and
+    their f updated in place."""
+    moved = [False] * len(x)
+    look = list(range(len(x)))                # rows still backtracking
+    step = 1.0
+    while step >= 1e-12:
+        if len(look) == len(x):
+            cand = x + step * delta
+            ok, cc = prob.eval(cand)
+        else:
+            cand = x[look] + step * delta[look]
+            ok, cc = prob.eval(cand, look)
+        vals = iter(prob.value(cc, t).tolist() if cc else ())
+        fc = [next(vals) if o else None for o in ok]
+        good = [v is not None and v <= f[k] + 0.25 * step * gd[k]
+                for v, k in zip(fc, look)]
+        pos = [j for j, gj in enumerate(good) if gj]
+        if len(pos) == len(x):                # every row, at the full step
+            f[:] = fc
+            return cand, cc, [True] * len(x)
+        if pos:
+            hit = [look[j] for j in pos]
+            rank = list(itertools.accumulate(ok))  # cc holds the ok rows
+            x[hit] = cand[pos]
+            for a, v in zip(cache, cc):
+                a[hit] = v[[rank[j] - 1 for j in pos]]
+            for j, k in zip(pos, hit):
+                moved[k] = True
+                f[k] = fc[j]
+            look = [k for k, gk in zip(look, good) if not gk]
+            if not look:
+                break
+        step *= 0.5
+    return x, cache, moved
+
+
+def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
+    """Damped Newton to the analytic centers of f_t from the rows of x (with
+    their eval cache); problem i takes at most budget[i] >= 1 steps.
+    Returns (x, cache, steps).
+
+    Each problem follows the iterates it follows alone: it leaves the working
+    set when its Newton decrement is small or stalls, its Newton system
+    fails, its line search fails or its budget is spent, and the others go
+    on.  A problem's last iterate is written back to x and cache when it
+    leaves.
+    """
+    n = len(x)
+    steps = [0] * n
+    ws = list(range(n))                       # the working set
+    sub, xw, cw, left = prob, x, cache, list(budget)
+    taken = [0] * n
+    prev_lam2 = [math.inf] * n
+
+    def leave(out):
+        """Takes the rows at positions ``out`` out of the working set;
+        returns the positions kept."""
+        nonlocal ws, sub, xw, cw, left, taken, prev_lam2, fw, x, cache
+        for k in out:
+            steps[ws[k]] = taken[k]
+        if len(out) == len(ws) == n:          # nothing written back yet
+            x, cache, ws = xw, cw, []
+            return []
+        rows = [ws[k] for k in out]
+        x[rows] = xw[out]
+        for a, v in zip(cache, cw):
+            a[rows] = v[out]
+        gone = set(out)
+        keep = [k for k in range(len(ws)) if k not in gone]
+        ws = [ws[k] for k in keep]
+        left = [left[k] for k in keep]
+        taken = [taken[k] for k in keep]
+        prev_lam2 = [prev_lam2[k] for k in keep]
+        fw = [fw[k] for k in keep]
+        if ws:
+            xw, cw, sub = xw[keep], _take(cw, keep), sub.take(keep)
+        return keep
+
+    fw = prob.value(cw, t).tolist()           # f_t at the rows of xw
+    while ws:
+        g, H = sub.grad_hess(cw, t)
+        delta = _newton_directions(H, g)
+        gd = np.vecdot(g, delta).tolist()
+        out = []
+        for k, v in enumerate(gd):
+            # (-g).delta is exactly -(g.delta): negation commutes with
+            # rounding.  Rounding floor: for huge t the decrement stops
+            # improving while the point is already essentially centered.
+            lam2 = -v
+            if lam2 / 2.0 <= tol or (lam2 < 1e-5
+                                     and lam2 >= 0.99 * prev_lam2[k]):
+                out.append(k)
+            prev_lam2[k] = lam2
+        if out:
+            keep = leave(out)
+            if not ws:
+                break
+            gd, delta = [gd[k] for k in keep], delta[keep]
+        xw, cw, moved = _line_search(sub, xw, cw, fw, gd, delta, t)
+        taken = [s + 1 for s in taken]
+        out = [k for k, (m, s, b) in enumerate(zip(moved, taken, left))
+               if not m or s >= b]
+        if out:
+            leave(out)
+    return x, cache, steps
+
+
+def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
+    """Follows the central path of every problem from the rows of x until the
+    duality-gap bound reaches the target.  All problems share m, hence the
+    t schedule.  Returns (live, x, cache, kkt, errors): the problems ``live``
+    finished with those iterates, eval caches and KKT bounds; errors[i] is
+    the MaxIterations that stopped problem i, or None."""
+    errors = [None] * len(x)
+    ok, cache = prob.eval(x)
+    live = [i for i, o in enumerate(ok) if o]
+    if len(live) < len(x):
+        for i, o in enumerate(ok):
+            if not o:
+                errors[i] = MaxIterations("barrier start point left the domain")
+        if not live:
+            return live, x, cache, None, errors
+        x, prob = x[live], prob.take(live)
+    t = 1.0
+    mu = 1.0 / settings.barrier_decrease
+    budget = settings.max_iterations
+    used = [0] * len(live)
+    while True:
+        # Intermediate centerings only need to stay in the region of quadratic
+        # convergence; the tight tolerance is reserved for the final t.
+        final = prob.n_barrier_terms / t <= settings.gap_target
+        tol = _CENTER_TOL if final else 1e-3
+        x, cache, steps = _newton_centering(
+            prob, x, cache, t, [budget - u for u in used], tol)
+        used = [u + s for u, s in zip(used, steps)]
+        if final:
+            g, _ = prob.grad_hess(cache, t)
+            gap = prob.n_barrier_terms / t
+            return live, x, cache, gap + np.sqrt(np.vecdot(g, g)) / t, errors
+        keep = [k for k, u in enumerate(used) if u < budget]
+        if len(keep) < len(used):
+            for k, u in enumerate(used):
+                if u >= budget:
+                    errors[live[k]] = MaxIterations(
+                        f"barrier solver exceeded {budget} Newton steps")
+            if not keep:
+                return [], x, cache, None, errors
+            live, used = [live[k] for k in keep], [used[k] for k in keep]
+            x, cache, prob = x[keep], _take(cache, keep), prob.take(keep)
+        t *= mu
+
+
+def _barrier_solve(A, b, objective, B0, c0, settings: SolverSettings) -> list:
+    """Follows the barrier path of objective on the stacked problems (A, b)
+    from (B0, c0); entry i is problem i's outcome, whose objective is log det B
+    and whose active set is the near-zero slacks, or the error that stopped
+    it."""
+    prob = _Barrier(A, b, objective)
+    x0 = np.concatenate([prob.sym.coords(B0), c0], axis=1)
+    live, x, cache, kkt, out = _barrier_path(prob, x0, settings)
+    pB = prob.sym.p
+    for j, i in enumerate(live):
+        B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
+        active = tuple(int(k) for k in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
+        out[i] = SolveOutcome(Ellipsoid(B, x[j, pB:]), float(logdet),
+                              float(kkt[j]), active)
+    return out
+
+
+def _solve_stacked(polytopes, objective, starts, settings) -> list:
+    """Barrier solves of objective(d) on each polytope from its start (B0, c0),
+    one stack per constraint-matrix shape; entries in input order."""
+    out = [None] * len(polytopes)
+    groups = {}
+    for i, P in enumerate(polytopes):
+        groups.setdefault(P.A.shape, []).append(i)
+    for (_, d), idx in groups.items():
+        res = _barrier_solve(np.stack([polytopes[i].A for i in idx]),
+                             np.stack([polytopes[i].b for i in idx]),
+                             objective(d),
+                             np.stack([starts[i][0] for i in idx]),
+                             np.stack([starts[i][1] for i in idx]), settings)
+        for i, r in zip(idx, res):
+            out[i] = r
+    return out
+
+
+def _through_first_failure(out: list) -> list:
+    for i, r in enumerate(out):
+        if isinstance(r, Exception):
+            return out[:i + 1]
+    return out
+
+
+def _single(out: list) -> SolveOutcome:
+    """The outcome of a batch of one, or its error raised."""
+    (r,) = out
+    if isinstance(r, Exception):
+        raise r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +576,36 @@ def _interior_start(P: HPolytope, settings: SolverSettings):
     return c0, r
 
 
+def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS) -> list:
+    """Maximum-volume inscribed ellipsoids of a sequence of bounded
+    full-dimensional polytopes, one stacked barrier solve per constraint
+    count.
+
+    Returns the outcomes in input order through the first failure: a list of
+    SolveOutcome whose last entry may instead be the error (Unbounded,
+    EmptyInterior, MaxIterations) that ``mvie`` raises on that polytope.
+    The start-point LPs run in input order, and neither they nor the
+    iteration of ``polytopes`` go past the first that fails.  Every outcome
+    is bitwise the one ``mvie`` returns on its polytope alone.
+    """
+    solvable, starts, failure = [], [], []
+    for P in polytopes:
+        try:
+            if settings.check_preconditions and not is_bounded(P):
+                raise Unbounded("mvie requires a bounded polytope")
+            c0, r = _interior_start(P, settings)
+        except (Unbounded, EmptyInterior) as exc:
+            failure = [exc]
+            break
+        solvable.append(P)
+        starts.append((0.9 * r * np.eye(P.dim), c0))
+    return _through_first_failure(
+        _solve_stacked(solvable, _LogDet, starts, settings) + failure)
+
+
 def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Maximum-volume inscribed ellipsoid of a bounded full-dimensional polytope."""
-    if settings.check_preconditions and not is_bounded(P):
-        raise Unbounded("mvie requires a bounded polytope")
-    c0, r = _interior_start(P, settings)
-    return _barrier_solve(P, _LogDet(P.dim), 0.9 * r * np.eye(P.dim), c0,
-                          settings)
+    return _single(mvie_batch([P], settings))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +626,71 @@ def slice_below(P: HPolytope, tau: float) -> HPolytope:
     return HPolytope(P.dim, P.halfspaces + (hs,), prov)
 
 
+def lowest_ellipsoid_batch(polytopes, target_volume: float,
+                           settings: SolverSettings = DEFAULT_SETTINGS) -> list:
+    """Lowest ellipsoids of one target volume in a sequence of polytopes,
+    solved as stacks: the MVIEs first, then the height problems, then the
+    cross-checks.  Returns the outcomes in input order through the first
+    failure, like ``mvie_batch``; every outcome or error is the one
+    ``lowest_ellipsoid`` gives on its polytope alone.
+    """
+    polytopes = list(polytopes)
+    if target_volume <= 0.0:
+        return [VolumeInfeasible("target volume must be positive")
+                for _ in polytopes[:1]]
+    out = mvie_batch(polytopes, settings)
+    lift, starts = [], []
+    for i, base in enumerate(out):
+        if isinstance(base, Exception):
+            break
+        v_max = base.volume
+        if v_max < target_volume * (1.0 - max(1e-7, settings.feasibility_tol)):
+            out[i:] = [VolumeInfeasible(
+                f"MVIE volume {v_max:.12g} below target {target_volume:.12g}")]
+            break
+        # At the target volume the MVIE is the only inscribed ellipsoid of
+        # that volume and is the outcome; above it, the height problem
+        # starts from the MVIE shrunk slightly.
+        if v_max > target_volume * (1.0 + 1e-7):
+            d = polytopes[i].dim
+            rho = (target_volume / v_max) ** (1.0 / d)
+            sigma = min(0.05, 0.5 * (1.0 - rho))
+            lift.append(i)
+            starts.append(((1.0 - sigma) * base.ellipsoid.shape,
+                           base.ellipsoid.center))
+
+    def height(d):
+        return _Height(d, math.log(target_volume / unit_ball_volume(d)))
+
+    lifted = _solve_stacked([polytopes[i] for i in lift], height, starts,
+                            settings)
+    for i, low in zip(lift, lifted):
+        out[i] = low
+    out = _through_first_failure(out)
+
+    solved = out[:-1] if out and isinstance(out[-1], Exception) else out
+    taus = [_height(o.ellipsoid) for o in solved]
+    if settings.cross_check:
+        inner = dataclasses.replace(settings, check_preconditions=False)
+        checks = mvie_batch((slice_below(P, tau)
+                             for P, tau in zip(polytopes, taus)), inner)
+        for i, (o, check) in enumerate(zip(solved, checks)):
+            if isinstance(check, Exception):
+                out[i:] = [check]
+                break
+            gap = max(
+                float(np.linalg.norm(check.ellipsoid.shape - o.ellipsoid.shape)),
+                float(np.linalg.norm(check.ellipsoid.center - o.ellipsoid.center)))
+            if gap > 1e-5:
+                out[i:] = [CertificateFailed(
+                    "lowest ellipsoid disagrees with MVIE of the slab "
+                    f"(gap {gap:.3e})")]
+                break
+    return [o if isinstance(o, Exception) else
+            SolveOutcome(o.ellipsoid, tau, o.kkt_residual, o.active_constraints)
+            for o, tau in zip(out, taus + [None])]
+
+
 def lowest_ellipsoid(P: HPolytope, target_volume: float,
                      settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Among ellipsoids of the given volume inside P, the one of minimal height.
@@ -394,38 +700,7 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
     two routes are compared and a disagreement beyond 1e-5 raises
     CertificateFailed.
     """
-    if target_volume <= 0.0:
-        raise VolumeInfeasible("target volume must be positive")
-    base = mvie(P, settings)
-    v_max = base.volume
-    if v_max < target_volume * (1.0 - max(1e-7, settings.feasibility_tol)):
-        raise VolumeInfeasible(
-            f"MVIE volume {v_max:.12g} below target {target_volume:.12g}")
-
-    inner = dataclasses.replace(settings, check_preconditions=False)
-    if v_max <= target_volume * (1.0 + 1e-7):
-        # The MVIE is the only inscribed ellipsoid of the target volume.
-        out = base
-    else:
-        d = P.dim
-        log_v0 = math.log(target_volume / unit_ball_volume(d))
-        rho = (target_volume / v_max) ** (1.0 / d)
-        sigma = min(0.05, 0.5 * (1.0 - rho))
-        B0 = (1.0 - sigma) * base.ellipsoid.shape
-        out = _barrier_solve(P, _Height(d, log_v0), B0,
-                             base.ellipsoid.center, settings)
-
-    tau = _height(out.ellipsoid)
-    if settings.cross_check:
-        check = mvie(slice_below(P, tau), inner)
-        gap = max(
-            float(np.linalg.norm(check.ellipsoid.shape - out.ellipsoid.shape)),
-            float(np.linalg.norm(check.ellipsoid.center - out.ellipsoid.center)))
-        if gap > 1e-5:
-            raise CertificateFailed(
-                f"lowest ellipsoid disagrees with MVIE of the slab (gap {gap:.3e})")
-    return SolveOutcome(out.ellipsoid, tau, out.kkt_residual,
-                        out.active_constraints)
+    return _single(lowest_ellipsoid_batch([P], target_volume, settings))
 
 
 def _height(E: Ellipsoid) -> float:

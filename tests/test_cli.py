@@ -126,6 +126,21 @@ def test_input_errors_exit_4(tmp_path):
     assert "input error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["mvie", "--member", "5"], ["mvie", "--class", "7"],
+    ["mvie", "--member", "-1"], ["mvie", "--class", "-1"],
+    ["lowest", "--member", "5"], ["lowest", "--class", "-1"],
+    ["lowest", "--volume", "-1"], ["lowest", "--volume", "0"],
+    ["verify-hypothesis", "--k", "-1"], ["verify-hypothesis", "--k", "0"],
+    ["verify-hypothesis", "--k", "2"],
+])
+def test_out_of_range_arguments_exit_4(square_instance, argv):
+    code, out = run_cli(argv[:1] + [square_instance] + argv[1:]
+                        + ["--out", "/dev/null"])
+    assert code == EXIT_INPUT
+    assert "input error" in out
+
+
 def test_bad_usage_exit_4():
     code, _ = run_cli(["mvie"])  # missing instance argument
     assert code == EXIT_INPUT

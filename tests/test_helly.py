@@ -10,10 +10,11 @@ from quanthelly import (ColorClasses, ColorfulSelection, Ellipsoid, HPolytope,
                         lowest_ellipsoid, minkowski_difference, mvie,
                         saxuso_scenario, theorem1_pipeline,
                         verify_colorful_hypothesis)
-from quanthelly import helly
+from quanthelly import solvers
 from quanthelly.errors import (HypothesisViolated, InstanceError,
                                MaxIterations, NoWitness,
                                WitnessContainmentFailed)
+from quanthelly.geometry import chebyshev_center
 from quanthelly.helly import (selection_count, selection_intersection,
                               translate_margin)
 from quanthelly.instances import GeneratorSpec, generate
@@ -153,19 +154,45 @@ def test_hypothesis_fails_and_identifies_selection():
 
 
 def test_hypothesis_stops_at_first_failure(monkeypatch):
-    cc = far_member_classes()
-    calls = []
+    # (a) The report names the first failing selection in lexicographic
+    # order, with the minimum over the selections before it; these are the
+    # fields of a selection-by-selection check that stops at the failure.
+    want = {
+        2: {"passed": False, "selections_checked": 5,
+            "min_volume": 0.12566369860376986,
+            "min_selection": [[0, 0], [2, 1]],
+            "failure": [[0, 0], [2, 1]],
+            "failure_reason": "ellipsoid volume 0.125663698604 below target "
+                              "3.14159265359"},
+        3: {"passed": False, "selections_checked": 2,
+            "min_volume": 0.125663705138282,
+            "min_selection": [[0, 0], [1, 0], [2, 1]],
+            "failure": [[0, 0], [1, 0], [2, 1]],
+            "failure_reason": "ellipsoid volume 0.125663705138 below target "
+                              "3.14159265359"},
+    }
+    for k, fields in want.items():
+        rep = verify_colorful_hypothesis(far_member_classes(), k, math.pi)
+        assert rep.to_dict() == fields
 
-    def counting_mvie(*args, **kwargs):
-        calls.append(1)
-        return mvie(*args, **kwargs)
+    # (b) No start LP runs after the first empty intersection.
+    cc = classes_of_boxes(
+        [([2.0, 2.0], None)],
+        [([2.0, 2.0], None), ([0.5, 0.5], [8.5, 8.5])],
+        [([2.0, 2.0], None)])
+    sels = list(colorful_selections(cc, 2))
+    j = sels.index(ColorfulSelection(((0, 0), (1, 1))))
+    lps = []
 
-    monkeypatch.setattr(helly, "mvie", counting_mvie)
-    rep = verify_colorful_hypothesis(cc, 2, math.pi)
-    assert not rep.passed
-    position = list(colorful_selections(cc, 2)).index(rep.failure)
-    assert len(calls) == position + 1 < selection_count(cc, 2)
-    assert rep.selections_checked == selection_count(cc, 2)
+    def counting_center(P):
+        lps.append(P)
+        return chebyshev_center(P)
+
+    monkeypatch.setattr(solvers, "chebyshev_center", counting_center)
+    rep = verify_colorful_hypothesis(cc, 2, 1.0)
+    assert rep.failure == sels[j]
+    assert rep.failure_reason.startswith("EmptyInterior")
+    assert len(lps) == j + 1 < len(sels)
 
 
 def test_hypothesis_numerical_failure_propagates():

@@ -71,6 +71,16 @@ def test_invalid_json_and_missing_fields(tmp_path):
         parse_instance(path)
 
 
+@pytest.mark.parametrize("target", [-1.0, 0.0, math.inf, "large"])
+def test_target_volume_must_be_positive(tmp_path, target):
+    doc = json.loads(minimal_instance_text())
+    doc["target_volume"] = target
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="target_volume"):
+        parse_instance(path)
+
+
 def test_roundtrip_emit_parse(tmp_path):
     inst = generate(GeneratorSpec("common-ball", 3, 2, 4, 2))
     p1 = tmp_path / "a.json"

@@ -11,10 +11,12 @@ from quanthelly import (AffineMap, Ellipsoid, HPolytope, SolverSettings,
                         lowest_ellipsoid, lp_feasible, mvie,
                         polytope_volume_2d, transform_ellipsoid,
                         transform_polytope)
-from quanthelly.errors import (CertificateFailed, EmptyInterior, Unbounded,
-                               VolumeInfeasible)
-from quanthelly.solvers import (_Barrier, _Height, _LogDet, _SymSpace,
-                                height_halfspace, slice_below)
+from quanthelly.errors import (CertificateFailed, EmptyInterior,
+                               MaxIterations, Unbounded, VolumeInfeasible)
+from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
+                                _SymSpace, height_halfspace,
+                                lowest_ellipsoid_batch, mvie_batch,
+                                slice_below)
 
 from _oracles import lowest_oracle, mvie_oracle
 
@@ -35,26 +37,34 @@ def triangle_polytope():
 
 
 def _fd_check(problem, x, t, h=1e-6):
-    cache = problem.eval(x)
-    assert cache is not None
-    g, H = problem.grad_hess(cache, t)
+    """problem is a stack of one problem and x its iterate."""
+    def cache_at(x):
+        ok, cache = problem.eval(x[None])
+        assert ok == [True]
+        return cache
+
+    def value(x):
+        return problem.value(cache_at(x), t)[0]
+
+    def grad_hess(x):
+        g, H = problem.grad_hess(cache_at(x), t)
+        return g[0], H[0]
+
+    g, H = grad_hess(x)
     n = x.shape[0]
     g_fd = np.empty(n)
     for k in range(n):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        g_fd[k] = (problem.value(problem.eval(xp), t)
-                   - problem.value(problem.eval(xm), t)) / (2.0 * h)
+        g_fd[k] = (value(xp) - value(xm)) / (2.0 * h)
     assert np.allclose(g, g_fd, rtol=5e-4, atol=5e-4)
     H_fd = np.empty((n, n))
     for k in range(n):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        gp, _ = problem.grad_hess(problem.eval(xp), t)
-        gm, _ = problem.grad_hess(problem.eval(xm), t)
-        H_fd[:, k] = (gp - gm) / (2.0 * h)
+        H_fd[:, k] = (grad_hess(xp)[0] - grad_hess(xm)[0]) / (2.0 * h)
     scale = max(np.abs(H).max(), 1.0)
     assert np.abs(H - H_fd).max() / scale < 1e-3
 
@@ -73,14 +83,15 @@ def _barrier_point(d, diag0):
 def test_mvie_barrier_derivatives(rng, d):
     P = bounded_random_polytope(rng, d)
     x = _barrier_point(d, 0.2)
-    _fd_check(_Barrier(P.A, P.b, _LogDet(d)), x, t=3.0)
+    _fd_check(_Barrier(P.A[None], P.b[None], _LogDet(d)), x, t=3.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_lowest_barrier_derivatives(rng, d):
     P = bounded_random_polytope(rng, d)
     x = _barrier_point(d, 0.25)
-    _fd_check(_Barrier(P.A, P.b, _Height(d, math.log(0.02))), x, t=3.0)
+    _fd_check(_Barrier(P.A[None], P.b[None], _Height(d, math.log(0.02))), x,
+              t=3.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -153,6 +164,74 @@ def test_mvie_rejects_empty_interior():
     b = np.array([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(EmptyInterior):
         mvie(HPolytope.from_arrays(A, b))
+
+
+# ---------------------------------------------------------------------------
+# Batched engine: every problem of a stack follows its lone iterates
+
+
+def _same_outcome(a, b):
+    return (np.array_equal(a.ellipsoid.shape, b.ellipsoid.shape)
+            and np.array_equal(a.ellipsoid.center, b.ellipsoid.center)
+            and a.objective == b.objective
+            and a.kkt_residual == b.kkt_residual
+            and a.active_constraints == b.active_constraints)
+
+
+def _solve(objective, polytopes, settings, target=None):
+    if objective == "mvie":
+        return mvie_batch(polytopes, settings)
+    return lowest_ellipsoid_batch(polytopes, target, settings)
+
+
+@pytest.mark.parametrize("objective", ["mvie", "lowest"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_outcomes_equal_lone_solves(rng, monkeypatch, d, objective):
+    polytopes = [bounded_random_polytope(rng, d, extra=e)
+                 for e in (4, 12, 8, 4, 12, 8, 8, 8)]
+    target = 0.5 * min(o.volume for o in mvie_batch(polytopes))
+    alone = [_solve(objective, [P], DEFAULT_SETTINGS, target)[0]
+             for P in polytopes]
+    left_domain = []
+    eval_ = _Barrier.eval
+
+    def watching_eval(self, x, rows=None):
+        ok, cache = eval_(self, x, rows)
+        left_domain.append(not all(ok))
+        return ok, cache
+
+    monkeypatch.setattr(_Barrier, "eval", watching_eval)
+    for order in (range(len(polytopes)), rng.permutation(len(polytopes))):
+        out = _solve(objective, [polytopes[i] for i in order],
+                     DEFAULT_SETTINGS, target)
+        assert len(out) == len(polytopes)
+        for i, o in zip(order, out):
+            assert _same_outcome(o, alone[i])
+    # some line search of the stack stepped outside the domain
+    assert any(left_domain)
+
+
+@pytest.mark.parametrize("objective", ["mvie", "lowest"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_ends_at_first_empty_polytope(rng, d, objective):
+    far = [3.0] + [0.0] * (d - 1)
+    empty = HPolytope(d, HPolytope.box([1.0] * d).halfspaces
+                      + HPolytope.box([1.0] * d, center=far).halfspaces)
+    polytopes = [bounded_random_polytope(rng, d) for _ in range(2)]
+    polytopes += [empty, bounded_random_polytope(rng, d)]
+    out = _solve(objective, polytopes, FAST, 0.1)
+    assert len(out) == 3
+    for P, o in zip(polytopes[:2], out):
+        assert _same_outcome(o, _solve(objective, [P], FAST, 0.1)[0])
+    assert isinstance(out[2], EmptyInterior)
+
+
+@pytest.mark.parametrize("objective", ["mvie", "lowest"])
+def test_batch_max_iterations_at_first_position(rng, objective):
+    polytopes = [bounded_random_polytope(rng, 2) for _ in range(3)]
+    out = _solve(objective, polytopes, SolverSettings(max_iterations=1), 0.1)
+    assert len(out) == 1
+    assert isinstance(out[0], MaxIterations)
 
 
 # ---------------------------------------------------------------------------
