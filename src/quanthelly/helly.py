@@ -187,12 +187,13 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all(bodies)
 
 
-def _sweep(classes: ColorClasses, k: int, solve_batch) -> list:
-    """(selection, outcome) pairs for the colorful k-selections in
-    lexicographic order.  ``solve_batch`` receives their intersections as a
-    lazy iterable and returns the outcomes in that order through the first
-    failure (see ``mvie_batch``), so selections past a failing start LP are
-    never enumerated; a failure is the outcome of the last pair."""
+def _sweep(classes: ColorClasses, k: int, solve_batch):
+    """Solves the colorful k-selections in lexicographic order.
+    ``solve_batch`` receives their intersections as a lazy iterable and
+    returns (outcomes, error) as ``mvie_batch`` does, so selections past a
+    failing start LP are never enumerated.  Returns (pairs, failure): the
+    (selection, outcome) pairs before the first failure, and (selection,
+    error) of that failure, or None."""
     sels = []
 
     def intersections():
@@ -200,13 +201,16 @@ def _sweep(classes: ColorClasses, k: int, solve_batch) -> list:
             sels.append(sel)
             yield selection_intersection(classes, sel)
 
-    return list(zip(sels, solve_batch(intersections())))
+    outcomes, error = solve_batch(intersections())
+    pairs = list(zip(sels, outcomes))
+    return pairs, None if error is None else (sels[len(pairs)], error)
 
 
-def _solved(pairs: list) -> list:
-    """The pairs of a sweep; raises the failure that ends it, if any."""
-    if pairs and isinstance(pairs[-1][1], Exception):
-        raise pairs[-1][1]
+def _solved(sweep) -> list:
+    """The pairs of a sweep; raises the error that ends it, if any."""
+    pairs, failure = sweep
+    if failure is not None:
+        raise failure[1]
     return pairs
 
 
@@ -304,12 +308,8 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
     total = selection_count(classes, k)
     min_volume = None
     min_sel = None
-    for sel, out in _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner)):
-        if isinstance(out, EmptyInterior):
-            return HypothesisReport(False, total, min_volume, min_sel, sel,
-                                    f"{type(out).__name__}: {out}")
-        if isinstance(out, Exception):
-            raise out
+    pairs, failure = _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner))
+    for sel, out in pairs:
         vol = out.volume
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
@@ -317,7 +317,13 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
             return HypothesisReport(
                 False, total, min_volume, min_sel, sel,
                 f"ellipsoid volume {vol:.12g} below target {target_volume:.12g}")
-    return HypothesisReport(True, total, min_volume, min_sel, None, None)
+    if failure is None:
+        return HypothesisReport(True, total, min_volume, min_sel, None, None)
+    sel, error = failure
+    if not isinstance(error, EmptyInterior):
+        raise error
+    return HypothesisReport(False, total, min_volume, min_sel, sel,
+                            f"{type(error).__name__}: {error}")
 
 
 # ---------------------------------------------------------------------------

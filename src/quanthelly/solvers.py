@@ -157,6 +157,16 @@ def _take(cache: tuple, rows) -> tuple:
     return tuple(a[rows] for a in cache)
 
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise A_n @ x_n: one BLAS gemv per row, as a lone ``A @ x``."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_n . b_n: one BLAS dot per row, as a lone ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _factorable(B: np.ndarray) -> np.ndarray:
     """Row mask: which matrices of the stack have a Cholesky factor, one
     factorization at a time (a stacked one raises if any matrix fails)."""
@@ -220,20 +230,21 @@ class _Barrier:
         _, m, d = A.shape
         self.sym = _sym_space(d)
         self.At = A.transpose(0, 2, 1)
-        self.W = self.sym.basis_apply(A)
         self.p = self.sym.p + d
         self.n_barrier_terms = m + objective.n_terms
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        return self.sym.basis_apply(self.A)
 
     def take(self, rows) -> "_Barrier":
         """The problems at ``rows``."""
         return _Barrier(self.A[rows], self.b[rows], self.objective)
 
-    def eval(self, x, rows=None):
+    def eval(self, x):
         """Returns (ok, cache): ok lists which rows of x lie inside the domain
-        and the cache holds those rows.  Row i of x belongs to problem
-        rows[i] (to problem i when rows is None)."""
-        A, b = (self.A, self.b) if rows is None else (self.A[rows],
-                                                      self.b[rows])
+        and the cache holds those rows."""
+        A, b = self.A, self.b
         pB = self.sym.p
         B = self.sym.mat(x[:, :pB])
         c = x[:, pB:]
@@ -245,7 +256,7 @@ class _Barrier:
         V = A @ B
         # np.linalg.norm(V, axis=2), without its dispatch
         n = np.sqrt(np.add.reduce(V * V, axis=2))
-        s = b - np.matvec(A, c) - n
+        s = b - _matvec(A, c) - n
         # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons do)
         ok = ~(np.fmin(n, s) <= 0.0).any(axis=1)
         if pd is not None:
@@ -279,7 +290,7 @@ class _Barrier:
         g, HB = self.objective.grad_hess(B, cache[5:], Binv, t)
         q = np.einsum('nkmd,nmd->nkm', self.W, V) / n[:, None, :]
         G = np.concatenate([q, self.At], axis=1)
-        g += np.matvec(G, 1.0 / s)
+        g += _matvec(G, 1.0 / s)
         H = np.zeros((N, self.p, self.p))
         H[:, :pB, :pB] += HB
         Gs = G / s[:, None, :]
@@ -330,7 +341,7 @@ class _Height:
         u = logdet - self.log_v0
         # |B e_d| as np.linalg.norm of the column: a BLAS dot of a copy
         ve = np.ascontiguousarray(B[:, :, -1])
-        ne = np.sqrt(np.vecdot(ve, ve))
+        ne = np.sqrt(_rowdot(ve, ve))
         return (logdet, u, ne, c[:, -1] + ne), ~(u <= 0.0)
 
     def value(self, state, t):
@@ -344,7 +355,7 @@ class _Height:
         binv_vec = sym.vec(Binv)
 
         # height objective
-        qe = np.matvec(self.We, B[:, :, -1]) / ne[:, None]
+        qe = _matvec(self.We, B[:, :, -1]) / ne[:, None]
         g = np.zeros((len(u), pB + sym.d))
         g[:, :pB] += t * qe
         g[:, -1] += t
@@ -358,22 +369,21 @@ class _Height:
         return g, t * He + Hu
 
 
-def _line_search(prob: _Barrier, x, cache, f, gd, delta, t):
-    """Backtracking line search (Armijo, step halving) along delta from every
-    row of x, where f[k] = f_t(x_k) and gd[k] = g_k . delta_k.  All rows
-    start at step 1 and halve together, so the rows still backtracking share
-    one step.  Returns (x, cache, moved) with the accepted rows moved and
-    their f updated in place."""
+def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
+    """Backtracking line search (Armijo, step halving) along delta from the
+    rows ``look`` of x, where f[k] = f_t(x_k) and gd[k] = g_k . delta_k.  The
+    rows start at step 1 and halve together, so the rows still backtracking
+    share one step.  Returns (x, cache, moved) with the accepted rows moved
+    and their f updated in place."""
     moved = [False] * len(x)
-    look = list(range(len(x)))                # rows still backtracking
     step = 1.0
-    while step >= 1e-12:
+    while look and step >= 1e-12:
         if len(look) == len(x):
             cand = x + step * delta
             ok, cc = prob.eval(cand)
         else:
             cand = x[look] + step * delta[look]
-            ok, cc = prob.eval(cand, look)
+            ok, cc = prob.take(look).eval(cand)
         vals = iter(prob.value(cc, t).tolist() if cc else ())
         fc = [next(vals) if o else None for o in ok]
         good = [v is not None and v <= f[k] + 0.25 * step * gd[k]
@@ -392,8 +402,6 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t):
                 moved[k] = True
                 f[k] = fc[j]
             look = [k for k, gk in zip(look, good) if not gk]
-            if not look:
-                break
         step *= 0.5
     return x, cache, moved
 
@@ -407,65 +415,48 @@ def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
     set when its Newton decrement is small or stalls, its Newton system
     fails, its line search fails or its budget is spent, and the others go
     on.  A problem's last iterate is written back to x and cache when it
-    leaves.
+    leaves.  Control state (f_t, previous decrement, steps) is kept per
+    problem; only the working rows are filtered.
     """
     n = len(x)
-    steps = [0] * n
-    ws = list(range(n))                       # the working set
-    sub, xw, cw, left = prob, x, cache, list(budget)
-    taken = [0] * n
+    f = prob.value(cache, t).tolist()
     prev_lam2 = [math.inf] * n
-
-    def leave(out):
-        """Takes the rows at positions ``out`` out of the working set;
-        returns the positions kept."""
-        nonlocal ws, sub, xw, cw, left, taken, prev_lam2, fw, x, cache
-        for k in out:
-            steps[ws[k]] = taken[k]
-        if len(out) == len(ws) == n:          # nothing written back yet
-            x, cache, ws = xw, cw, []
-            return []
-        rows = [ws[k] for k in out]
-        x[rows] = xw[out]
-        for a, v in zip(cache, cw):
-            a[rows] = v[out]
-        gone = set(out)
-        keep = [k for k in range(len(ws)) if k not in gone]
-        ws = [ws[k] for k in keep]
-        left = [left[k] for k in keep]
-        taken = [taken[k] for k in keep]
-        prev_lam2 = [prev_lam2[k] for k in keep]
-        fw = [fw[k] for k in keep]
-        if ws:
-            xw, cw, sub = xw[keep], _take(cw, keep), sub.take(keep)
-        return keep
-
-    fw = prob.value(cw, t).tolist()           # f_t at the rows of xw
+    steps = [0] * n
+    ws = list(range(n))                       # problem of each working row
+    sub, xw, cw = prob, x, cache
     while ws:
         g, H = sub.grad_hess(cw, t)
         delta = _newton_directions(H, g)
-        gd = np.vecdot(g, delta).tolist()
-        out = []
-        for k, v in enumerate(gd):
+        gd = _rowdot(g, delta).tolist()
+        look = []
+        for k, (i, v) in enumerate(zip(ws, gd)):
             # (-g).delta is exactly -(g.delta): negation commutes with
             # rounding.  Rounding floor: for huge t the decrement stops
             # improving while the point is already essentially centered.
             lam2 = -v
-            if lam2 / 2.0 <= tol or (lam2 < 1e-5
-                                     and lam2 >= 0.99 * prev_lam2[k]):
-                out.append(k)
-            prev_lam2[k] = lam2
-        if out:
-            keep = leave(out)
-            if not ws:
-                break
-            gd, delta = [gd[k] for k in keep], delta[keep]
-        xw, cw, moved = _line_search(sub, xw, cw, fw, gd, delta, t)
-        taken = [s + 1 for s in taken]
-        out = [k for k, (m, s, b) in enumerate(zip(moved, taken, left))
-               if not m or s >= b]
-        if out:
-            leave(out)
+            if not (lam2 / 2.0 <= tol
+                    or (lam2 < 1e-5 and lam2 >= 0.99 * prev_lam2[i])):
+                look.append(k)
+            prev_lam2[i] = lam2
+        fw = [f[i] for i in ws]
+        xw, cw, moved = _line_search(sub, xw, cw, fw, gd, delta, t, look)
+        for k in look:
+            steps[ws[k]] += 1
+        keep, out = [], []
+        for k, (i, m) in enumerate(zip(ws, moved)):
+            f[i] = fw[k]
+            (keep if m and steps[i] < budget[i] else out).append(k)
+        if not out:
+            continue
+        if not keep and len(ws) == n:         # nothing written back yet
+            return xw, cw, steps
+        rows = [ws[k] for k in out]
+        x[rows] = xw[out]
+        for a, v in zip(cache, cw):
+            a[rows] = v[out]
+        ws = [ws[k] for k in keep]
+        if ws:
+            sub, xw, cw = sub.take(keep), xw[keep], _take(cw, keep)
     return x, cache, steps
 
 
@@ -500,7 +491,7 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
         if final:
             g, _ = prob.grad_hess(cache, t)
             gap = prob.n_barrier_terms / t
-            return live, x, cache, gap + np.sqrt(np.vecdot(g, g)) / t, errors
+            return live, x, cache, gap + np.sqrt(_rowdot(g, g)) / t, errors
         keep = [k for k, u in enumerate(used) if u < budget]
         if len(keep) < len(used):
             for k, u in enumerate(used):
@@ -514,54 +505,55 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
         t *= mu
 
 
-def _barrier_solve(A, b, objective, B0, c0, settings: SolverSettings) -> list:
+def _barrier_solve(A, b, objective, B0, c0, settings: SolverSettings):
     """Follows the barrier path of objective on the stacked problems (A, b)
-    from (B0, c0); entry i is problem i's outcome, whose objective is log det B
-    and whose active set is the near-zero slacks, or the error that stopped
-    it."""
+    from (B0, c0).  Returns (outcomes, errors): problem i's outcome, whose
+    objective is log det B and whose active set is the near-zero slacks, or
+    None, and the error that stopped it, or None."""
     prob = _Barrier(A, b, objective)
     x0 = np.concatenate([prob.sym.coords(B0), c0], axis=1)
-    live, x, cache, kkt, out = _barrier_path(prob, x0, settings)
+    live, x, cache, kkt, errors = _barrier_path(prob, x0, settings)
+    out = [None] * len(x0)
     pB = prob.sym.p
     for j, i in enumerate(live):
         B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
         active = tuple(int(k) for k in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
         out[i] = SolveOutcome(Ellipsoid(B, x[j, pB:]), float(logdet),
                               float(kkt[j]), active)
-    return out
+    return out, errors
 
 
-def _solve_stacked(polytopes, objective, starts, settings) -> list:
+def _solve_stacked(polytopes, objective, starts, settings):
     """Barrier solves of objective(d) on each polytope from its start (B0, c0),
-    one stack per constraint-matrix shape; entries in input order."""
+    one stack per constraint-matrix shape.  Returns (outcomes, error): the
+    outcomes in input order up to the first problem that failed, and that
+    problem's error (None when every problem was solved)."""
     out = [None] * len(polytopes)
+    errors = [None] * len(polytopes)
     groups = {}
     for i, P in enumerate(polytopes):
         groups.setdefault(P.A.shape, []).append(i)
     for (_, d), idx in groups.items():
-        res = _barrier_solve(np.stack([polytopes[i].A for i in idx]),
-                             np.stack([polytopes[i].b for i in idx]),
-                             objective(d),
-                             np.stack([starts[i][0] for i in idx]),
-                             np.stack([starts[i][1] for i in idx]), settings)
-        for i, r in zip(idx, res):
-            out[i] = r
-    return out
+        res, err = _barrier_solve(np.stack([polytopes[i].A for i in idx]),
+                                  np.stack([polytopes[i].b for i in idx]),
+                                  objective(d),
+                                  np.stack([starts[i][0] for i in idx]),
+                                  np.stack([starts[i][1] for i in idx]),
+                                  settings)
+        for i, r, e in zip(idx, res, err):
+            out[i], errors[i] = r, e
+    for i, e in enumerate(errors):
+        if e is not None:
+            return out[:i], e
+    return out, None
 
 
-def _through_first_failure(out: list) -> list:
-    for i, r in enumerate(out):
-        if isinstance(r, Exception):
-            return out[:i + 1]
-    return out
-
-
-def _single(out: list) -> SolveOutcome:
+def _single(batch) -> SolveOutcome:
     """The outcome of a batch of one, or its error raised."""
-    (r,) = out
-    if isinstance(r, Exception):
-        raise r
-    return r
+    outcomes, error = batch
+    if error is not None:
+        raise error
+    return outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +568,31 @@ def _interior_start(P: HPolytope, settings: SolverSettings):
     return c0, r
 
 
-def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS) -> list:
+def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
     """Maximum-volume inscribed ellipsoids of a sequence of bounded
     full-dimensional polytopes, one stacked barrier solve per constraint
     count.
 
-    Returns the outcomes in input order through the first failure: a list of
-    SolveOutcome whose last entry may instead be the error (Unbounded,
-    EmptyInterior, MaxIterations) that ``mvie`` raises on that polytope.
-    The start-point LPs run in input order, and neither they nor the
-    iteration of ``polytopes`` go past the first that fails.  Every outcome
-    is bitwise the one ``mvie`` returns on its polytope alone.
+    Returns (outcomes, error): the outcomes in input order up to the first
+    polytope that fails, and the error (Unbounded, EmptyInterior,
+    MaxIterations) that ``mvie`` raises on it, or None.  The start-point LPs
+    run in input order, and neither they nor the iteration of ``polytopes``
+    go past the first that fails.  Every outcome is bitwise the one ``mvie``
+    returns on its polytope alone.
     """
-    solvable, starts, failure = [], [], []
+    solvable, starts, error = [], [], None
     for P in polytopes:
         try:
             if settings.check_preconditions and not is_bounded(P):
                 raise Unbounded("mvie requires a bounded polytope")
             c0, r = _interior_start(P, settings)
         except (Unbounded, EmptyInterior) as exc:
-            failure = [exc]
+            error = exc
             break
         solvable.append(P)
         starts.append((0.9 * r * np.eye(P.dim), c0))
-    return _through_first_failure(
-        _solve_stacked(solvable, _LogDet, starts, settings) + failure)
+    outcomes, failed = _solve_stacked(solvable, _LogDet, starts, settings)
+    return outcomes, error if failed is None else failed
 
 
 def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
@@ -627,26 +619,25 @@ def slice_below(P: HPolytope, tau: float) -> HPolytope:
 
 
 def lowest_ellipsoid_batch(polytopes, target_volume: float,
-                           settings: SolverSettings = DEFAULT_SETTINGS) -> list:
+                           settings: SolverSettings = DEFAULT_SETTINGS):
     """Lowest ellipsoids of one target volume in a sequence of polytopes,
     solved as stacks: the MVIEs first, then the height problems, then the
-    cross-checks.  Returns the outcomes in input order through the first
-    failure, like ``mvie_batch``; every outcome or error is the one
-    ``lowest_ellipsoid`` gives on its polytope alone.
+    cross-checks.  Returns (outcomes, error) like ``mvie_batch``; every
+    outcome and the error are the ones ``lowest_ellipsoid`` gives on its
+    polytope alone.  Each stage runs on the problems before the first
+    failure so far, so an error it finds comes earlier and replaces it.
     """
     polytopes = list(polytopes)
     if target_volume <= 0.0:
-        return [VolumeInfeasible("target volume must be positive")
-                for _ in polytopes[:1]]
-    out = mvie_batch(polytopes, settings)
+        return [], (VolumeInfeasible("target volume must be positive")
+                    if polytopes else None)
+    out, error = mvie_batch(polytopes, settings)
     lift, starts = [], []
     for i, base in enumerate(out):
-        if isinstance(base, Exception):
-            break
         v_max = base.volume
         if v_max < target_volume * (1.0 - max(1e-7, settings.feasibility_tol)):
-            out[i:] = [VolumeInfeasible(
-                f"MVIE volume {v_max:.12g} below target {target_volume:.12g}")]
+            out, error = out[:i], VolumeInfeasible(
+                f"MVIE volume {v_max:.12g} below target {target_volume:.12g}")
             break
         # At the target volume the MVIE is the only inscribed ellipsoid of
         # that volume and is the outcome; above it, the height problem
@@ -662,33 +653,32 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
     def height(d):
         return _Height(d, math.log(target_volume / unit_ball_volume(d)))
 
-    lifted = _solve_stacked([polytopes[i] for i in lift], height, starts,
-                            settings)
+    lifted, failed = _solve_stacked([polytopes[i] for i in lift], height,
+                                    starts, settings)
     for i, low in zip(lift, lifted):
         out[i] = low
-    out = _through_first_failure(out)
+    if failed is not None:
+        out, error = out[:lift[len(lifted)]], failed
 
-    solved = out[:-1] if out and isinstance(out[-1], Exception) else out
-    taus = [_height(o.ellipsoid) for o in solved]
+    taus = [_height(o.ellipsoid) for o in out]
     if settings.cross_check:
         inner = dataclasses.replace(settings, check_preconditions=False)
-        checks = mvie_batch((slice_below(P, tau)
-                             for P, tau in zip(polytopes, taus)), inner)
-        for i, (o, check) in enumerate(zip(solved, checks)):
-            if isinstance(check, Exception):
-                out[i:] = [check]
-                break
+        slabs = (slice_below(P, tau) for P, tau in zip(polytopes, taus))
+        checks, failed = mvie_batch(slabs, inner)
+        for i, (o, check) in enumerate(zip(out, checks)):
             gap = max(
                 float(np.linalg.norm(check.ellipsoid.shape - o.ellipsoid.shape)),
                 float(np.linalg.norm(check.ellipsoid.center - o.ellipsoid.center)))
             if gap > 1e-5:
-                out[i:] = [CertificateFailed(
+                checks, failed = checks[:i], CertificateFailed(
                     "lowest ellipsoid disagrees with MVIE of the slab "
-                    f"(gap {gap:.3e})")]
+                    f"(gap {gap:.3e})")
                 break
-    return [o if isinstance(o, Exception) else
-            SolveOutcome(o.ellipsoid, tau, o.kkt_residual, o.active_constraints)
-            for o, tau in zip(out, taus + [None])]
+        if failed is not None:
+            out, error = out[:len(checks)], failed
+    return [SolveOutcome(o.ellipsoid, tau, o.kkt_residual,
+                         o.active_constraints)
+            for o, tau in zip(out, taus)], error
 
 
 def lowest_ellipsoid(P: HPolytope, target_volume: float,

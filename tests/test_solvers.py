@@ -179,6 +179,7 @@ def _same_outcome(a, b):
 
 
 def _solve(objective, polytopes, settings, target=None):
+    """(outcomes, error) of a batch."""
     if objective == "mvie":
         return mvie_batch(polytopes, settings)
     return lowest_ellipsoid_batch(polytopes, target, settings)
@@ -189,22 +190,22 @@ def _solve(objective, polytopes, settings, target=None):
 def test_batch_outcomes_equal_lone_solves(rng, monkeypatch, d, objective):
     polytopes = [bounded_random_polytope(rng, d, extra=e)
                  for e in (4, 12, 8, 4, 12, 8, 8, 8)]
-    target = 0.5 * min(o.volume for o in mvie_batch(polytopes))
-    alone = [_solve(objective, [P], DEFAULT_SETTINGS, target)[0]
+    target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
+    alone = [_solve(objective, [P], DEFAULT_SETTINGS, target)[0][0]
              for P in polytopes]
     left_domain = []
     eval_ = _Barrier.eval
 
-    def watching_eval(self, x, rows=None):
-        ok, cache = eval_(self, x, rows)
+    def watching_eval(self, x):
+        ok, cache = eval_(self, x)
         left_domain.append(not all(ok))
         return ok, cache
 
     monkeypatch.setattr(_Barrier, "eval", watching_eval)
     for order in (range(len(polytopes)), rng.permutation(len(polytopes))):
-        out = _solve(objective, [polytopes[i] for i in order],
-                     DEFAULT_SETTINGS, target)
-        assert len(out) == len(polytopes)
+        out, error = _solve(objective, [polytopes[i] for i in order],
+                            DEFAULT_SETTINGS, target)
+        assert error is None and len(out) == len(polytopes)
         for i, o in zip(order, out):
             assert _same_outcome(o, alone[i])
     # some line search of the stack stepped outside the domain
@@ -219,19 +220,44 @@ def test_batch_ends_at_first_empty_polytope(rng, d, objective):
                       + HPolytope.box([1.0] * d, center=far).halfspaces)
     polytopes = [bounded_random_polytope(rng, d) for _ in range(2)]
     polytopes += [empty, bounded_random_polytope(rng, d)]
-    out = _solve(objective, polytopes, FAST, 0.1)
-    assert len(out) == 3
+    out, error = _solve(objective, polytopes, FAST, 0.1)
+    assert len(out) == 2
     for P, o in zip(polytopes[:2], out):
-        assert _same_outcome(o, _solve(objective, [P], FAST, 0.1)[0])
-    assert isinstance(out[2], EmptyInterior)
+        assert _same_outcome(o, _solve(objective, [P], FAST, 0.1)[0][0])
+    assert isinstance(error, EmptyInterior)
+
+
+@pytest.mark.parametrize("objective", ["mvie", "lowest"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_step_budget_matches_lone_solves(rng, d, objective):
+    # A budget that some problems need more Newton steps than: each problem
+    # counts its own steps while the others leave the stack around it.
+    polytopes = [bounded_random_polytope(rng, d, extra=e)
+                 for e in (4, 12, 8, 4, 12, 8, 8, 8)]
+    target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
+    settings = SolverSettings(max_iterations=48)
+    alone = [_solve(objective, [P], settings, target) for P in polytopes]
+    failing = [error is not None for _, error in alone]
+    assert any(failing) and not all(failing)
+    n = len(polytopes)
+    for order in (range(n), range(n - 1, -1, -1), rng.permutation(n)):
+        out, error = _solve(objective, [polytopes[i] for i in order],
+                            settings, target)
+        first = next(j for j, i in enumerate(order) if failing[i])
+        assert len(out) == first
+        for i, o in zip(order, out):
+            assert _same_outcome(o, alone[i][0][0])
+        lone_error = alone[order[first]][1]
+        assert (type(error), str(error)) == (type(lone_error), str(lone_error))
 
 
 @pytest.mark.parametrize("objective", ["mvie", "lowest"])
 def test_batch_max_iterations_at_first_position(rng, objective):
     polytopes = [bounded_random_polytope(rng, 2) for _ in range(3)]
-    out = _solve(objective, polytopes, SolverSettings(max_iterations=1), 0.1)
-    assert len(out) == 1
-    assert isinstance(out[0], MaxIterations)
+    out, error = _solve(objective, polytopes,
+                        SolverSettings(max_iterations=1), 0.1)
+    assert out == []
+    assert isinstance(error, MaxIterations)
 
 
 # ---------------------------------------------------------------------------
