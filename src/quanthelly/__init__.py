@@ -8,8 +8,8 @@ from .geometry import (AffineMap, Ellipsoid, HalfSpace, HPolytope,
                        ellipsoid_volume, intersect, is_bounded, has_interior,
                        min_semiaxis, support_value, transform_ellipsoid,
                        transform_polytope, unit_ball_volume)
-from .solvers import (SolverSettings, SolveOutcome, lowest_ellipsoid,
-                      lp_feasible, mvie, polytope_volume_2d)
+from .solvers import (SolverSettings, SolveOutcome, lowest_ellipsoid, mvie,
+                      polytope_volume_2d)
 from .john import (CriticalCertificate, JohnDecomposition, contact_points,
                    critical_subfamily, inscribed_ball_in_ellipsoid,
                    john_decomposition, normalize_to_john_position)
@@ -27,7 +27,7 @@ __all__ = [
     "intersect", "is_bounded", "has_interior", "min_semiaxis",
     "support_value", "transform_ellipsoid", "transform_polytope",
     "unit_ball_volume", "SolverSettings", "SolveOutcome", "lowest_ellipsoid",
-    "lp_feasible", "mvie", "polytope_volume_2d", "CriticalCertificate",
+    "mvie", "polytope_volume_2d", "CriticalCertificate",
     "JohnDecomposition", "contact_points", "critical_subfamily",
     "inscribed_ball_in_ellipsoid", "john_decomposition",
     "normalize_to_john_position", "ColorClasses", "ColorfulSelection",

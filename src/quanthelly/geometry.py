@@ -246,6 +246,13 @@ def ellipsoid_in_polytope(E: Ellipsoid, P: HPolytope, tol: float = 1e-9) -> bool
     return bool(np.all(sup <= P.b + tol))
 
 
+def ellipsoid_gap(E1: Ellipsoid, E2: Ellipsoid) -> float:
+    """Distance of two ellipsoids: the larger of the Frobenius distance of
+    their shapes and the distance of their centers."""
+    return max(float(np.linalg.norm(E1.shape - E2.shape)),
+               float(np.linalg.norm(E1.center - E2.center)))
+
+
 def polytope_slacks(E: Ellipsoid, P: HPolytope) -> np.ndarray:
     """Per-constraint slack b_i - (a_i . c + |B a_i|); nonnegative iff E inside."""
     return P.b - (P.A @ E.center + np.linalg.norm(P.A @ E.shape, axis=1))
@@ -296,11 +303,6 @@ def intersect_all(polys: Sequence[HPolytope]) -> HPolytope:
     return out
 
 
-def _linprog(c, A, b, bounds):
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    return res
-
-
 def is_bounded(P: HPolytope) -> bool:
     """Boundedness via 2d LPs: max of +/- x_i all finite (empty counts as bounded)."""
     d = P.dim
@@ -309,7 +311,8 @@ def is_bounded(P: HPolytope) -> bool:
         for sign in (1.0, -1.0):
             c = np.zeros(d)
             c[i] = -sign  # maximize sign * x_i
-            res = _linprog(c, P.A, P.b, bounds)
+            res = linprog(c, A_ub=P.A, b_ub=P.b, bounds=bounds,
+                          method="highs")
             if res.status == 3:
                 return False
             if res.status == 2:  # empty set
@@ -328,7 +331,7 @@ def chebyshev_center(P: HPolytope):
     c = np.zeros(d + 1)
     c[-1] = -1.0
     bounds = [(None, None)] * d + [(None, 1e6)]
-    res = _linprog(c, A, P.b, bounds)
+    res = linprog(c, A_ub=A, b_ub=P.b, bounds=bounds, method="highs")
     if res.status != 0:
         raise Unbounded("Chebyshev LP did not solve; polytope likely unbounded")
     return res.x[:d].copy(), float(res.x[d])

@@ -24,13 +24,12 @@ from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
                      InstanceError, NormalizationFailed, NoWitness,
                      Step3Failed, Unbounded, WitnessContainmentFailed)
 from .geometry import (AffineMap, Ellipsoid, HPolytope, chebyshev_center,
-                       ellipsoid_in_polytope, ellipsoid_height,
+                       ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_height,
                        ellipsoid_volume, has_interior, intersect_all,
                        is_bounded, min_semiaxis, support_value,
                        transform_ellipsoid, transform_polytope)
-from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid,
-                      lowest_ellipsoid_batch, lp_feasible, mvie, mvie_batch,
-                      slice_below)
+from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid_batch,
+                      mvie_batch, single_outcome, slice_below)
 
 # How closely two ellipsoids must agree (max of shape Frobenius distance and
 # center distance) to count as equal in the drop-one-body comparison.
@@ -215,11 +214,9 @@ def _solved(sweep) -> list:
 
 
 def _inner(settings: SolverSettings) -> SolverSettings:
-    """Settings for the solves inside a sweep: no boundedness precheck (every
-    member is bounded), no lowest-ellipsoid cross-check, and a duality-gap
-    target no tighter than 1e-7."""
-    return dataclasses.replace(settings, check_preconditions=False,
-                               cross_check=False,
+    """Settings for the batch solves inside a pipeline: a duality-gap target
+    no tighter than 1e-7."""
+    return dataclasses.replace(settings,
                                gap_target=max(settings.gap_target, 1e-7))
 
 
@@ -261,8 +258,10 @@ def translate_margin(P: HPolytope, L: Union[Ellipsoid, HPolytope]):
 def contains_translate(P: HPolytope, L: Union[Ellipsoid, HPolytope],
                        settings: SolverSettings = DEFAULT_SETTINGS
                        ) -> Optional[np.ndarray]:
-    """A vector t with L + t inside P, or None when no translate fits."""
-    return lp_feasible(minkowski_difference(P, L), settings)
+    """A vector t with L + t inside P (within feasibility_tol), or None when
+    no translate fits."""
+    t, margin = translate_margin(P, L)
+    return None if margin < -settings.feasibility_tol else t
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +330,7 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
 
 
 def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
-                           settings: SolverSettings = DEFAULT_SETTINGS,
-                           verify_hypothesis: bool = False):
+                           settings: SolverSettings = DEFAULT_SETTINGS):
     """First class whose full intersection contains a translate of L.
 
     Requires d+1 classes.  When the colorful hypothesis holds (every colorful
@@ -344,13 +342,6 @@ def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
         raise InstanceError(
             f"translate witness search needs exactly {d + 1} classes, "
             f"got {classes.n_classes}")
-    if verify_hypothesis:
-        for sel in colorful_selections(classes, d + 1):
-            if contains_translate(selection_intersection(classes, sel),
-                                  L, settings) is None:
-                raise HypothesisViolated(
-                    "a colorful selection admits no translate of L",
-                    failure=sel)
     margins = []
     for j in range(classes.n_classes):
         Pj = intersect_all(classes.classes[j])
@@ -368,11 +359,6 @@ def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
 
 def _ellipsoid_sort_key(E: Ellipsoid):
     return (ellipsoid_height(E), tuple(E.center), tuple(E.shape.ravel()))
-
-
-def _ellipsoid_gap(E1: Ellipsoid, E2: Ellipsoid) -> float:
-    return max(float(np.linalg.norm(E1.shape - E2.shape)),
-               float(np.linalg.norm(E1.center - E2.center)))
 
 
 def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
@@ -427,8 +413,9 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
     witness = None
     for pos in range(nc):
         K_j = intersect_all(bodies[:pos] + bodies[pos + 1:])
-        out_j = lowest_ellipsoid(K_j, target_volume, inner)
-        gap = _ellipsoid_gap(out_j.ellipsoid, e_max)
+        out_j = single_outcome(lowest_ellipsoid_batch([K_j], target_volume,
+                                                      inner))
+        gap = ellipsoid_gap(out_j.ellipsoid, e_max)
         gaps.append(gap)
         if gap <= _STEP3_TOL:
             witness = sel_max.picks[pos][0]
@@ -510,9 +497,9 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     imgs = [transform_polytope(T, classes.body(ci, mi))
             for ci, mi in sel_star.picks]
     M = slice_below(intersect_all(imgs), 1.0)
-    m_out = mvie(M, inner)
+    m_out = single_outcome(mvie_batch([M], inner))
     ball = Ellipsoid.unit_ball(d)
-    m_gap = _ellipsoid_gap(m_out.ellipsoid, ball)
+    m_gap = ellipsoid_gap(m_out.ellipsoid, ball)
     if m_gap > _STEP3_TOL:
         raise NormalizationFailed(
             f"MVIE of the cut body is not the unit ball (gap {m_gap:.3e})")

@@ -13,7 +13,8 @@ from .errors import (CertificateFailed, DecompositionInfeasible,
                      NotInJohnPosition, SupportOutOfRange)
 from .geometry import (ACTIVE_SLACK_TOL, AffineMap, Ellipsoid, HPolytope,
                        intersect_all, min_semiaxis, transform_polytope)
-from .solvers import DEFAULT_SETTINGS, SolverSettings, mvie
+from .solvers import (DEFAULT_SETTINGS, SolverSettings, mvie, mvie_batch,
+                      single_outcome)
 
 _RESIDUAL_TOL = 1e-6
 _ZERO_WEIGHT_TOL = 1e-9
@@ -144,9 +145,11 @@ def critical_subfamily(family: Sequence[HPolytope],
     contacts = contact_points(Pn)
     dec = john_decomposition([u for u, _ in contacts])
     members = sorted({Pn.provenance[contacts[i][1]] for i in dec.support_indices})
+    # Bounded without a check: its contact normals carry a balanced John
+    # decomposition (positive weights, sum w u = 0, sum w u u^T = I), so
+    # they positively span R^d.
     sub = intersect_all([tagged[k] for k in members])
-    inner = dataclasses.replace(settings, check_preconditions=False)
-    v_sub = mvie(sub, inner).volume
+    v_sub = single_outcome(mvie_batch([sub], settings)).volume
     v_glob = out.volume
     gap = abs(v_sub - v_glob) / v_glob
     if gap > 1e-5:

@@ -1,12 +1,13 @@
 """Log-det convex programs on H-polytopes: maximum-volume inscribed ellipsoid,
-lowest ellipsoid of prescribed volume, LP feasibility, exact 2-D area.
+lowest ellipsoid of prescribed volume, exact 2-D area.
 
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
 (Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
 stack of problems at once: ``mvie_batch`` and ``lowest_ellipsoid_batch``
 take a sequence of polytopes, and ``mvie`` and ``lowest_ellipsoid`` are
-their batches of one.  Per-problem masks stand in for the control flow of a
+their batches of one, behind the checks only a lone solve runs (see
+``SolverSettings``).  Per-problem masks stand in for the control flow of a
 lone solve, and every row of a stacked computation makes the float
 operations of a lone solve, so each outcome is bitwise independent of the
 batch it was solved in.  Solvers are deterministic pure functions of (input,
@@ -18,7 +19,6 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -26,32 +26,35 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
                      MaxIterations, Unbounded, VolumeInfeasible)
 from .geometry import (ACTIVE_SLACK_TOL, Ellipsoid, HalfSpace, HPolytope,
-                       chebyshev_center, ellipsoid_volume, is_bounded,
-                       unit_ball_volume)
+                       chebyshev_center, ellipsoid_gap, ellipsoid_volume,
+                       is_bounded, unit_ball_volume)
 
 # Duality-gap target for the barrier path; well below the volume-gap contract.
 _GAP_TARGET = 1e-8
 # Newton decrement threshold for an (approximately) centered point.
 _CENTER_TOL = 1e-9
+# Factor by which the barrier parameter t grows between centerings.
+_T_GROWTH = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverSettings:
+    """Tolerances and budgets of a solve.
+
+    Which checks run is decided by the entry point, not by a setting: ``mvie``
+    and ``lowest_ellipsoid`` check that the polytope is bounded, and
+    ``lowest_ellipsoid`` cross-checks its optimum against the MVIE of the
+    slab below it; ``mvie_batch`` and ``lowest_ellipsoid_batch`` do neither.
+    """
+
     feasibility_tol: float = 1e-9
     kkt_tol: float = 1e-7
     max_iterations: int = 200
-    barrier_decrease: float = 0.1
     gap_target: float = _GAP_TARGET
-    # Engineering knobs (not part of the numeric contract): skip the
-    # boundedness/interior prechecks when the caller has already validated
-    # them, and toggle the lowest-ellipsoid MVIE cross-check.
-    check_preconditions: bool = True
-    cross_check: bool = True
 
     def __post_init__(self):
         if not (self.feasibility_tol > 0 and self.kkt_tol > 0
                 and self.max_iterations > 0
-                and 0.0 < self.barrier_decrease < 1.0
                 and self.gap_target > 0):
             raise ValueError("invalid solver settings")
 
@@ -477,7 +480,6 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
             return live, x, cache, None, errors
         x, prob = x[live], prob.take(live)
     t = 1.0
-    mu = 1.0 / settings.barrier_decrease
     budget = settings.max_iterations
     used = [0] * len(live)
     while True:
@@ -502,7 +504,7 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
                 return [], x, cache, None, errors
             live, used = [live[k] for k in keep], [used[k] for k in keep]
             x, cache, prob = x[keep], _take(cache, keep), prob.take(keep)
-        t *= mu
+        t *= _T_GROWTH
 
 
 def _barrier_solve(A, b, objective, B0, c0, settings: SolverSettings):
@@ -548,7 +550,7 @@ def _solve_stacked(polytopes, objective, starts, settings):
     return out, None
 
 
-def _single(batch) -> SolveOutcome:
+def single_outcome(batch) -> SolveOutcome:
     """The outcome of a batch of one, or its error raised."""
     outcomes, error = batch
     if error is not None:
@@ -568,23 +570,26 @@ def _interior_start(P: HPolytope, settings: SolverSettings):
     return c0, r
 
 
-def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
-    """Maximum-volume inscribed ellipsoids of a sequence of bounded
-    full-dimensional polytopes, one stacked barrier solve per constraint
-    count.
+def _check_bounded(P: HPolytope):
+    if not is_bounded(P):
+        raise Unbounded("mvie requires a bounded polytope")
 
-    Returns (outcomes, error): the outcomes in input order up to the first
-    polytope that fails, and the error (Unbounded, EmptyInterior,
-    MaxIterations) that ``mvie`` raises on it, or None.  The start-point LPs
-    run in input order, and neither they nor the iteration of ``polytopes``
-    go past the first that fails.  Every outcome is bitwise the one ``mvie``
-    returns on its polytope alone.
+
+def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
+    """Maximum-volume inscribed ellipsoids of a sequence of full-dimensional
+    polytopes, one stacked barrier solve per constraint count.
+
+    The polytopes must be bounded: no boundedness check runs, only one
+    start-point LP per polytope.  Returns (outcomes, error): the outcomes in
+    input order up to the first polytope that fails, and its error
+    (EmptyInterior, MaxIterations, or Unbounded when its start LP fails), or
+    None.  The start-point LPs run in input order, and neither they nor the
+    iteration of ``polytopes`` go past the first that fails.  Every outcome
+    is bitwise the one ``mvie`` returns on its polytope alone.
     """
     solvable, starts, error = [], [], None
     for P in polytopes:
         try:
-            if settings.check_preconditions and not is_bounded(P):
-                raise Unbounded("mvie requires a bounded polytope")
             c0, r = _interior_start(P, settings)
         except (Unbounded, EmptyInterior) as exc:
             error = exc
@@ -596,8 +601,11 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
 
 
 def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
-    """Maximum-volume inscribed ellipsoid of a bounded full-dimensional polytope."""
-    return _single(mvie_batch([P], settings))
+    """Maximum-volume inscribed ellipsoid of a bounded full-dimensional
+    polytope.  Raises Unbounded, found by 2d LPs before the start LP, when P
+    is not bounded."""
+    _check_bounded(P)
+    return single_outcome(mvie_batch([P], settings))
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +629,14 @@ def slice_below(P: HPolytope, tau: float) -> HPolytope:
 def lowest_ellipsoid_batch(polytopes, target_volume: float,
                            settings: SolverSettings = DEFAULT_SETTINGS):
     """Lowest ellipsoids of one target volume in a sequence of polytopes,
-    solved as stacks: the MVIEs first, then the height problems, then the
-    cross-checks.  Returns (outcomes, error) like ``mvie_batch``; every
-    outcome and the error are the ones ``lowest_ellipsoid`` gives on its
-    polytope alone.  Each stage runs on the problems before the first
-    failure so far, so an error it finds comes earlier and replaces it.
+    solved as stacks: the MVIEs first, then the height problems.
+
+    The polytopes must be bounded: as in ``mvie_batch`` no boundedness check
+    runs, and no outcome is cross-checked against the MVIE of its slab.
+    Returns (outcomes, error) like ``mvie_batch``; every outcome is bitwise
+    the one a batch of one gives.  The height stage runs on the problems
+    before the first failure so far, so an error it finds comes earlier and
+    replaces it.
     """
     polytopes = list(polytopes)
     if target_volume <= 0.0:
@@ -659,38 +670,31 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
         out[i] = low
     if failed is not None:
         out, error = out[:lift[len(lifted)]], failed
-
-    taus = [_height(o.ellipsoid) for o in out]
-    if settings.cross_check:
-        inner = dataclasses.replace(settings, check_preconditions=False)
-        slabs = (slice_below(P, tau) for P, tau in zip(polytopes, taus))
-        checks, failed = mvie_batch(slabs, inner)
-        for i, (o, check) in enumerate(zip(out, checks)):
-            gap = max(
-                float(np.linalg.norm(check.ellipsoid.shape - o.ellipsoid.shape)),
-                float(np.linalg.norm(check.ellipsoid.center - o.ellipsoid.center)))
-            if gap > 1e-5:
-                checks, failed = checks[:i], CertificateFailed(
-                    "lowest ellipsoid disagrees with MVIE of the slab "
-                    f"(gap {gap:.3e})")
-                break
-        if failed is not None:
-            out, error = out[:len(checks)], failed
-    return [SolveOutcome(o.ellipsoid, tau, o.kkt_residual,
+    return [SolveOutcome(o.ellipsoid, _height(o.ellipsoid), o.kkt_residual,
                          o.active_constraints)
-            for o, tau in zip(out, taus)], error
+            for o in out], error
 
 
 def lowest_ellipsoid(P: HPolytope, target_volume: float,
                      settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Among ellipsoids of the given volume inside P, the one of minimal height.
 
-    The optimum is also the MVIE of P cut below its own height (the defining
-    property of the lowest ellipsoid); when ``settings.cross_check`` is set the
-    two routes are compared and a disagreement beyond 1e-5 raises
-    CertificateFailed.
+    Raises VolumeInfeasible for a nonpositive target, then Unbounded when P
+    is not bounded, before any solve.  The optimum is also the MVIE of P cut below its own height (the defining
+    property of the lowest ellipsoid); the two routes are compared and a
+    disagreement beyond 1e-5 raises CertificateFailed.
     """
-    return _single(lowest_ellipsoid_batch([P], target_volume, settings))
+    if target_volume <= 0.0:
+        raise VolumeInfeasible("target volume must be positive")
+    _check_bounded(P)
+    out = single_outcome(lowest_ellipsoid_batch([P], target_volume, settings))
+    check = single_outcome(mvie_batch([slice_below(P, out.objective)],
+                                      settings))
+    gap = ellipsoid_gap(check.ellipsoid, out.ellipsoid)
+    if gap > 1e-5:
+        raise CertificateFailed("lowest ellipsoid disagrees with MVIE of the "
+                                f"slab (gap {gap:.3e})")
+    return out
 
 
 def _height(E: Ellipsoid) -> float:
@@ -698,16 +702,7 @@ def _height(E: Ellipsoid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# LP feasibility and 2-D volume
-
-
-def lp_feasible(P: HPolytope,
-                settings: SolverSettings = DEFAULT_SETTINGS) -> Optional[np.ndarray]:
-    """A point satisfying all constraints within feasibility_tol, or None."""
-    x, r = chebyshev_center(P)
-    if r < -settings.feasibility_tol:
-        return None
-    return x
+# 2-D volume
 
 
 def polytope_vertices_2d(P: HPolytope, tol: float = 1e-9) -> np.ndarray:
@@ -731,12 +726,11 @@ def polytope_vertices_2d(P: HPolytope, tol: float = 1e-9) -> np.ndarray:
     return np.array(pts)
 
 
-def polytope_volume_2d(P: HPolytope,
-                       settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def polytope_volume_2d(P: HPolytope) -> float:
     """Exact area of a bounded 2-D polytope (vertex enumeration + hull)."""
     if P.dim != 2:
         raise DimensionMismatch("polytope_volume_2d requires d=2")
-    if settings.check_preconditions and not is_bounded(P):
+    if not is_bounded(P):
         raise Unbounded("polytope_volume_2d requires a bounded polytope")
     pts = polytope_vertices_2d(P)
     if pts.shape[0] < 3:

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from quanthelly import (AffineMap, Ellipsoid, GeneratorSpec, HPolytope,
-                        SolverSettings, colell_pipeline, contact_points,
+                        colell_pipeline, contact_points,
                         critical_subfamily, emit_instance, generate,
                         john_decomposition, lowest_ellipsoid, min_semiaxis,
                         minkowski_difference, mvie, normalize_to_john_position,
                         theorem1_pipeline, transform_ellipsoid,
                         transform_polytope, unit_ball_volume)
+from quanthelly.errors import EmptyInterior
 from quanthelly.geometry import intersect_all
 from quanthelly.instances import tangent_halfplane_family
 from quanthelly.solvers import slice_below
@@ -26,8 +27,6 @@ from quanthelly.solvers import slice_below
 from _oracles import mvie_oracle, sample_ellipsoid_points
 
 from conftest import bounded_random_polytope
-
-FAST = SolverSettings(check_preconditions=False, cross_check=False)
 
 
 @contextlib.contextmanager
@@ -106,7 +105,7 @@ def test_criterion_3_lowest_fixtures():
             assert np.abs(out.ellipsoid.shape - shape).max() <= 1e-5
             assert np.abs(out.ellipsoid.center - center).max() <= 1e-5
             assert abs(out.objective - height) <= 1e-5
-            cut = mvie(slice_below(P, out.objective - 1e-3), FAST)
+            cut = mvie(slice_below(P, out.objective - 1e-3))
             assert cut.volume < math.pi
 
 
@@ -204,7 +203,7 @@ def test_criterion_8_hellyklee_bound(rng):
                 Rm = np.linalg.qr(rng.normal(size=(d, d)))[0]
                 Q = transform_polytope(AffineMap(Rm, np.zeros(d)), Q)
                 delta = rng.uniform(0.25, 0.9)
-                out = lowest_ellipsoid(Q, delta * unit_ball_volume(d), FAST)
+                out = lowest_ellipsoid(Q, delta * unit_ball_volume(d))
                 assert min_semiaxis(out.ellipsoid) >= \
                     delta / d ** (d - 1) - 1e-9
 
@@ -216,8 +215,8 @@ def test_criterion_9_equivariance_and_monotonicity(rng):
             P = bounded_random_polytope(rng, 2)
             Lm = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
             T = AffineMap(Lm, rng.normal(size=2))
-            direct = mvie(transform_polytope(T, P), FAST).ellipsoid
-            mapped = transform_ellipsoid(T, mvie(P, FAST).ellipsoid)
+            direct = mvie(transform_polytope(T, P)).ellipsoid
+            mapped = transform_ellipsoid(T, mvie(P).ellipsoid)
             scale = max(1.0, float(np.linalg.norm(mapped.shape)))
             assert np.linalg.norm(direct.shape - mapped.shape) <= 1e-5 * scale
             assert np.linalg.norm(direct.center - mapped.center) <= 1e-5 * scale
@@ -228,11 +227,11 @@ def test_criterion_9_equivariance_and_monotonicity(rng):
             Lm2 = np.array([[rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)],
                             [0.0, alpha]])
             T2 = AffineMap(Lm2, rng.normal(size=2))
-            target = 0.3 * mvie(P, FAST).volume
-            base = lowest_ellipsoid(P, target, FAST).ellipsoid
+            target = 0.3 * mvie(P).volume
+            base = lowest_ellipsoid(P, target).ellipsoid
             direct = lowest_ellipsoid(
                 transform_polytope(T2, P),
-                abs(np.linalg.det(Lm2)) * target, FAST).ellipsoid
+                abs(np.linalg.det(Lm2)) * target).ellipsoid
             mapped = transform_ellipsoid(T2, base)
             scale = max(1.0, float(np.linalg.norm(mapped.shape)))
             assert np.linalg.norm(direct.shape - mapped.shape) <= 1e-5 * scale
@@ -245,15 +244,15 @@ def test_criterion_9_equivariance_and_monotonicity(rng):
             Q = HPolytope.from_arrays(
                 np.vstack([P.A, a]),
                 np.concatenate([P.b, [rng.uniform(0.6, 1.5)]]))
-            base = mvie(P, FAST)
+            base = mvie(P)
             try:
-                cut = mvie(Q, FAST)
-            except Exception:
+                cut = mvie(Q)
+            except EmptyInterior:
                 continue  # the extra constraint emptied the interior
             assert cut.volume <= base.volume * (1.0 + 1e-8)
             target = 0.3 * cut.volume
-            h_before = lowest_ellipsoid(P, target, FAST).objective
-            h_after = lowest_ellipsoid(Q, target, FAST).objective
+            h_before = lowest_ellipsoid(P, target).objective
+            h_after = lowest_ellipsoid(Q, target).objective
             assert h_after >= h_before - 1e-8 * max(1.0, abs(h_before))
 
 

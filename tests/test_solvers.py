@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +7,12 @@ from hypothesis import strategies as st
 
 from quanthelly import (AffineMap, Ellipsoid, HPolytope, SolverSettings,
                         ellipsoid_in_polytope, ellipsoid_volume,
-                        lowest_ellipsoid, lp_feasible, mvie,
-                        polytope_volume_2d, transform_ellipsoid,
-                        transform_polytope)
+                        lowest_ellipsoid, mvie, polytope_volume_2d,
+                        transform_ellipsoid, transform_polytope)
+from quanthelly import geometry, solvers
 from quanthelly.errors import (CertificateFailed, EmptyInterior,
                                MaxIterations, Unbounded, VolumeInfeasible)
+from quanthelly.geometry import chebyshev_center
 from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
                                 _SymSpace, height_halfspace,
                                 lowest_ellipsoid_batch, mvie_batch,
@@ -21,8 +21,6 @@ from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
 from _oracles import lowest_oracle, mvie_oracle
 
 from conftest import bounded_random_polytope
-
-FAST = SolverSettings(check_preconditions=False, cross_check=False)
 
 
 def triangle_polytope():
@@ -140,7 +138,7 @@ def test_mvie_triangle_volume_oracle():
 def test_mvie_matches_oracle_on_random_polytopes(rng):
     for _ in range(3):
         P = bounded_random_polytope(rng, 2)
-        out = mvie(P, FAST)
+        out = mvie(P)
         B, c = mvie_oracle(P.A, P.b)
         assert out.volume >= math.pi * np.linalg.det(B) - 1e-6
         assert np.linalg.norm(out.ellipsoid.center - c) < 1e-3
@@ -220,10 +218,11 @@ def test_batch_ends_at_first_empty_polytope(rng, d, objective):
                       + HPolytope.box([1.0] * d, center=far).halfspaces)
     polytopes = [bounded_random_polytope(rng, d) for _ in range(2)]
     polytopes += [empty, bounded_random_polytope(rng, d)]
-    out, error = _solve(objective, polytopes, FAST, 0.1)
+    out, error = _solve(objective, polytopes, DEFAULT_SETTINGS, 0.1)
     assert len(out) == 2
     for P, o in zip(polytopes[:2], out):
-        assert _same_outcome(o, _solve(objective, [P], FAST, 0.1)[0][0])
+        assert _same_outcome(
+            o, _solve(objective, [P], DEFAULT_SETTINGS, 0.1)[0][0])
     assert isinstance(error, EmptyInterior)
 
 
@@ -301,14 +300,22 @@ def test_lowest_volume_infeasible():
         lowest_ellipsoid(HPolytope.box([1.0, 1.0]), -1.0)
 
 
+def test_lowest_checks_target_then_boundedness():
+    half = HPolytope.from_arrays(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(VolumeInfeasible):
+        lowest_ellipsoid(half, -1.0)
+    with pytest.raises(Unbounded):
+        lowest_ellipsoid(half, 1.0)
+
+
 def test_lowest_is_mvie_of_slab(rng):
     # Defining property: the lowest ellipsoid is the MVIE of P cut at its
-    # own height (checked here explicitly, independent of cross_check).
+    # own height (checked here explicitly, not only by the cross-check).
     for _ in range(3):
         P = bounded_random_polytope(rng, 2)
-        vmax = mvie(P, FAST).volume
-        out = lowest_ellipsoid(P, 0.5 * vmax, FAST)
-        check = mvie(slice_below(P, out.objective), FAST)
+        vmax = mvie(P).volume
+        out = lowest_ellipsoid(P, 0.5 * vmax)
+        check = mvie(slice_below(P, out.objective))
         assert np.linalg.norm(check.ellipsoid.shape - out.ellipsoid.shape) < 1e-5
         assert np.linalg.norm(check.ellipsoid.center - out.ellipsoid.center) < 1e-5
 
@@ -316,16 +323,16 @@ def test_lowest_is_mvie_of_slab(rng):
 def test_lowest_minimality_cut_below_height():
     P = HPolytope.box([2.0, 2.0])
     out = lowest_ellipsoid(P, math.pi)
-    cut = mvie(slice_below(P, out.objective - 1e-3), FAST)
+    cut = mvie(slice_below(P, out.objective - 1e-3))
     assert cut.volume < math.pi
 
 
 def test_lowest_preserves_target_volume(rng):
     for _ in range(3):
         P = bounded_random_polytope(rng, 2)
-        vmax = mvie(P, FAST).volume
+        vmax = mvie(P).volume
         target = 0.4 * vmax
-        out = lowest_ellipsoid(P, target, FAST)
+        out = lowest_ellipsoid(P, target)
         assert ellipsoid_volume(out.ellipsoid) == pytest.approx(target, rel=1e-5)
         assert ellipsoid_in_polytope(out.ellipsoid, P, tol=1e-7)
 
@@ -341,8 +348,8 @@ def test_mvie_affine_equivariance(seed):
     P = bounded_random_polytope(rng, 2)
     L = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
     T = AffineMap(L, rng.normal(size=2))
-    direct = mvie(transform_polytope(T, P), FAST).ellipsoid
-    mapped = transform_ellipsoid(T, mvie(P, FAST).ellipsoid)
+    direct = mvie(transform_polytope(T, P)).ellipsoid
+    mapped = transform_ellipsoid(T, mvie(P).ellipsoid)
     assert np.linalg.norm(direct.shape - mapped.shape) < 1e-5
     assert np.linalg.norm(direct.center - mapped.center) < 1e-5
 
@@ -352,31 +359,30 @@ def test_mvie_affine_equivariance(seed):
 def test_mvie_monotone_under_added_constraint(seed):
     rng = np.random.default_rng(seed)
     P = bounded_random_polytope(rng, 2)
-    base = mvie(P, FAST).volume
+    base = mvie(P).volume
     a = rng.normal(size=2)
     a /= np.linalg.norm(a)
     Q = HPolytope.from_arrays(np.vstack([P.A, a]),
                               np.concatenate([P.b, [rng.uniform(0.5, 2.0)]]))
-    if lp_feasible(Q) is None:
+    if chebyshev_center(Q)[1] < -DEFAULT_SETTINGS.feasibility_tol:
         return
     try:
-        smaller = mvie(Q, FAST).volume
+        smaller = mvie(Q).volume
     except EmptyInterior:
         return
     assert smaller <= base * (1.0 + 1e-8)
 
 
 # ---------------------------------------------------------------------------
-# LP feasibility and 2-D area
+# Chebyshev margin and 2-D area
 
 
-def test_lp_feasible():
-    P = HPolytope.box([1.0, 1.0])
-    x = lp_feasible(P)
-    assert x is not None and np.all(np.abs(x) <= 1.0 + 1e-9)
+def test_chebyshev_margin_signals_feasibility():
+    x, margin = chebyshev_center(HPolytope.box([1.0, 1.0]))
+    assert margin >= 0.0 and np.all(np.abs(x) <= 1.0 + 1e-9)
     empty = HPolytope.from_arrays(
         np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
-    assert lp_feasible(empty) is None
+    assert chebyshev_center(empty)[1] < -DEFAULT_SETTINGS.feasibility_tol
 
 
 def test_polytope_volume_2d_fixtures():
@@ -390,8 +396,39 @@ def test_height_halfspace():
     assert h.offset == 2.5
 
 
-def test_cross_check_flag_controls_certificate():
+def test_lowest_raises_when_slab_mvie_disagrees(monkeypatch):
+    # The cross-check solves the MVIE of the slab below the optimum; a slab
+    # cut lower than the optimum's height has another MVIE.
     P = HPolytope.box([2.0, 2.0])
-    out = lowest_ellipsoid(P, math.pi,
-                           dataclasses.replace(FAST, cross_check=True))
-    assert out.objective == pytest.approx(-1.0, abs=1e-5)
+    cut = solvers.slice_below
+    monkeypatch.setattr(solvers, "slice_below",
+                        lambda Q, tau: cut(Q, tau - 0.5))
+    with pytest.raises(CertificateFailed):
+        lowest_ellipsoid(P, math.pi)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lp_count_per_entry_point(rng, monkeypatch, d):
+    # The lone solves check boundedness (2d LPs) before their start LP, and
+    # lowest_ellipsoid adds the start LP of its slab cross-check; the batch
+    # solvers run one start LP per polytope and nothing else.
+    polytopes = [bounded_random_polytope(rng, d) for _ in range(3)]
+    target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
+    calls = []
+    linprog = geometry.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+
+    def count(solve):
+        calls.clear()
+        solve()
+        return len(calls)
+
+    assert count(lambda: mvie_batch(polytopes)) == 3
+    assert count(lambda: lowest_ellipsoid_batch(polytopes, target)) == 3
+    assert count(lambda: mvie(polytopes[0])) == 2 * d + 1
+    assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 2 * d + 2
