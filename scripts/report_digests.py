@@ -17,10 +17,13 @@ input sets, generated here from fixed seeds:
   are left out: their 6-selection sweeps hold 377-1002 selections per
   instance and would take most of the run time.
 
-Each invocation prints one line: its label, the exit code, the sha256 of the
-report with every ``wall_time`` key removed ("-" when no report was written)
-and the sha256 of its standard output.  Two checkouts whose reports are
-byte-identical apart from ``wall_time`` print identical files.
+Each input first prints one line with the sha256 of its emitted instance
+text and of that text parsed and emitted again.  Each invocation then prints
+one line: its label, the exit code, the sha256 of the report with every
+``wall_time`` key removed ("-" when no report was written) and the sha256 of
+its standard output.  Two checkouts that generate, parse and emit the same
+instance bytes, and whose reports are byte-identical apart from
+``wall_time``, print identical files.
 """
 import argparse
 import contextlib
@@ -93,7 +96,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
     from quanthelly.cli import main as cli_main
-    from quanthelly.instances import GeneratorSpec, emit_instance, generate
+    from quanthelly.instances import (GeneratorSpec, emit_instance, generate,
+                                      parse_instance)
 
     inputs = [(f"c10-{i}", GeneratorSpec(*spec), False)
               for i, spec in enumerate(CRITERION_10)]
@@ -107,7 +111,10 @@ def main(argv=None) -> int:
         for label, spec, adversarial in inputs:
             inst = generate(spec)
             path = tmp / f"{label}.json"
-            emit_instance(inst, path)
+            text = emit_instance(inst, path)
+            again = emit_instance(parse_instance(path))
+            print(f"{label} instance: emit={_sha(text.encode())} "
+                  f"roundtrip={_sha(again.encode())}", flush=True)
             for cmd in _commands(spec.dimension, adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import QuantHellyError
-from .geometry import (AffineMap, Ellipsoid, HalfSpace, HPolytope,
+from .geometry import (AffineMap, Ellipsoid, HPolytope,
                        ellipsoid_height, ellipsoid_in_polytope,
                        ellipsoid_volume, intersect, is_bounded, has_interior,
                        min_semiaxis, support_value, transform_ellipsoid,
@@ -22,7 +22,7 @@ from .instances import (GeneratorSpec, InstanceFile, emit_instance,
                         emit_report, generate, parse_instance)
 
 __all__ = [
-    "QuantHellyError", "AffineMap", "Ellipsoid", "HalfSpace", "HPolytope",
+    "QuantHellyError", "AffineMap", "Ellipsoid", "HPolytope",
     "ellipsoid_height", "ellipsoid_in_polytope", "ellipsoid_volume",
     "intersect", "is_bounded", "has_interior", "min_semiaxis",
     "support_value", "transform_ellipsoid", "transform_polytope",

@@ -1,4 +1,4 @@
-"""Half-spaces, H-polytopes, ellipsoids and affine maps, plus their elementary queries.
+"""H-polytopes, ellipsoids and affine maps, plus their elementary queries.
 
 All values are immutable after construction and every operation is a pure
 function, so unrestricted sharing across threads is safe.
@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -36,88 +35,59 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class HalfSpace:
-    """The closed half-space {x : normal . x <= offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        a = np.asarray(self.normal, dtype=float).reshape(-1)
-        nrm = float(np.linalg.norm(a))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise DegenerateInput("half-space normal must be nonzero and finite")
-        b = float(self.offset)
-        if abs(nrm - 1.0) > NORM_TOL:
-            a = a / nrm
-            b = b / nrm
-        object.__setattr__(self, "normal", _readonly(a))
-        object.__setattr__(self, "offset", b)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-
-@dataclasses.dataclass(frozen=True)
 class HPolytope:
-    """A finite intersection of half-spaces in R^d.
+    """The polytope {x : A x <= b} in R^d, held as read-only arrays A (m, d)
+    and b (m,) with unit rows in A.
 
-    ``provenance`` optionally carries one hashable tag per half-space (e.g. a
-    (class, member) pair); tags are preserved by intersection and by affine
-    transforms.
+    A row within NORM_TOL of unit norm is kept bit for bit, so round trips
+    are byte-stable; any other row and its offset are divided by the row's
+    norm.  A zero or non-finite row raises DegenerateInput.
     """
 
-    dim: int
-    halfspaces: tuple
-    provenance: Optional[tuple] = None
+    A: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        hs = tuple(self.halfspaces)
-        if not hs:
-            raise DegenerateInput("a polytope needs at least one half-space")
-        for h in hs:
-            if h.dim != self.dim:
-                raise DimensionMismatch(
-                    f"half-space of dim {h.dim} in polytope of dim {self.dim}")
-        prov = self.provenance
-        if prov is not None:
-            prov = tuple(prov)
-            if len(prov) != len(hs):
-                raise DegenerateInput("provenance length must match half-space count")
-        object.__setattr__(self, "halfspaces", hs)
-        object.__setattr__(self, "provenance", prov)
-
-    @classmethod
-    def from_arrays(cls, A, b, provenance=None) -> "HPolytope":
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float).reshape(-1)
+        A = np.array(self.A, dtype=float)
+        b = np.array(self.b, dtype=float).reshape(-1)
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
             raise DegenerateInput("constraint arrays have inconsistent shapes")
-        hs = tuple(HalfSpace(A[i], b[i]) for i in range(A.shape[0]))
-        return cls(A.shape[1], hs, provenance)
+        if A.shape[0] == 0:
+            raise DegenerateInput("a polytope needs at least one half-space")
+        # The row rule uses the 1-D norm.  The vectorized norm differs from it
+        # by a few ulps, so a row it puts within NORM_TOL / 2 of unit is one
+        # the rule keeps, and only the other rows need the rule.
+        screen = np.sqrt(np.einsum("ij,ij->i", A, A))
+        for i in np.flatnonzero(~(np.abs(screen - 1.0) <= 0.5 * NORM_TOL)):
+            nrm = float(np.linalg.norm(A[i]))
+            if not np.isfinite(nrm) or nrm == 0.0:
+                raise DegenerateInput(
+                    "half-space normal must be nonzero and finite")
+            if abs(nrm - 1.0) > NORM_TOL:
+                A[i] = A[i] / nrm
+                b[i] = b[i] / nrm
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     @classmethod
-    def box(cls, halfwidths, center=None, provenance=None) -> "HPolytope":
+    def box(cls, halfwidths, center=None) -> "HPolytope":
         """Axis-aligned box {|x_i - c_i| <= w_i}."""
         w = np.asarray(halfwidths, dtype=float).reshape(-1)
         d = w.shape[0]
         c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
         A = np.vstack([np.eye(d), -np.eye(d)])
         b = np.concatenate([c + w, -(c - w)])
-        return cls.from_arrays(A, b, provenance)
+        return cls(A, b)
 
-    @cached_property
-    def A(self) -> np.ndarray:
-        return _readonly(np.array([h.normal for h in self.halfspaces]))
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return _readonly(np.array([h.offset for h in self.halfspaces]))
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
 
     @property
     def n_constraints(self) -> int:
-        return len(self.halfspaces)
+        return self.A.shape[0]
 
     def contains_points(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Vectorized membership test for an (n, d) array of points."""
@@ -188,10 +158,6 @@ class AffineMap:
     @property
     def dim(self) -> int:
         return self.shift.shape[0]
-
-    @classmethod
-    def identity(cls, d: int) -> "AffineMap":
-        return cls(np.eye(d), np.zeros(d))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -273,34 +239,29 @@ def transform_ellipsoid(T: AffineMap, E: Ellipsoid) -> Ellipsoid:
 
 
 def transform_polytope(T: AffineMap, P: HPolytope) -> HPolytope:
-    """Image of P under T; provenance tags are carried over."""
+    """Image of P under T, row for row."""
     if T.dim != P.dim:
         raise DimensionMismatch("map/polytope dimension mismatch")
     Linv_T = np.linalg.inv(T.linear).T
     A_new = P.A @ Linv_T.T
     b_new = P.b + A_new @ T.shift
-    return HPolytope.from_arrays(A_new, b_new, P.provenance)
+    return HPolytope(A_new, b_new)
 
 
 def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
-    """Concatenate half-space lists; provenance is concatenated as well."""
-    if P.dim != Q.dim:
-        raise DimensionMismatch("cannot intersect polytopes of different dimension")
-    prov = None
-    if P.provenance is not None or Q.provenance is not None:
-        prov = ((P.provenance or (None,) * P.n_constraints)
-                + (Q.provenance or (None,) * Q.n_constraints))
-    return HPolytope(P.dim, P.halfspaces + Q.halfspaces, prov)
+    """The rows of P followed by the rows of Q."""
+    return intersect_all([P, Q])
 
 
 def intersect_all(polys: Sequence[HPolytope]) -> HPolytope:
+    """The rows of every polytope, stacked in order."""
     polys = list(polys)
     if not polys:
         raise DegenerateInput("empty intersection list")
-    out = polys[0]
-    for Q in polys[1:]:
-        out = intersect(out, Q)
-    return out
+    if any(Q.dim != polys[0].dim for Q in polys):
+        raise DimensionMismatch("cannot intersect polytopes of different dimension")
+    return HPolytope(np.vstack([Q.A for Q in polys]),
+                     np.concatenate([Q.b for Q in polys]))
 
 
 def is_bounded(P: HPolytope) -> bool:
@@ -338,11 +299,8 @@ def chebyshev_center(P: HPolytope):
 
 
 def has_interior(P: HPolytope, tol: float = 1e-9) -> bool:
-    """Strict feasibility: maximum slack margin exceeds tol."""
-    try:
-        _, r = chebyshev_center(P)
-    except Unbounded:
-        # Unbounded feasible sets of full dimension still have interior; fall
-        # back to a strict feasibility check with the margin capped.
-        return True
+    """Strict feasibility: maximum slack margin exceeds tol.  The margin is
+    capped, so the LP always has an optimum, and an LP that does not solve
+    raises Unbounded as in ``chebyshev_center``."""
+    _, r = chebyshev_center(P)
     return r > tol

@@ -177,13 +177,7 @@ def selection_count(classes: ColorClasses, k: int) -> int:
 
 def selection_intersection(classes: ColorClasses,
                            sel: ColorfulSelection) -> HPolytope:
-    bodies = []
-    for ci, mi in sel.picks:
-        body = classes.body(ci, mi)
-        tagged = HPolytope(body.dim, body.halfspaces,
-                           ((ci, mi),) * body.n_constraints)
-        bodies.append(tagged)
-    return intersect_all(bodies)
+    return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
 def _sweep(classes: ColorClasses, k: int, solve_batch):
@@ -246,7 +240,7 @@ def minkowski_difference(P: HPolytope,
         shrink = P.A @ L.center + np.linalg.norm(P.A @ L.shape, axis=1)
     else:
         shrink = np.array([_support(L, a) for a in P.A])
-    return HPolytope.from_arrays(P.A, P.b - shrink, P.provenance)
+    return HPolytope(P.A, P.b - shrink)
 
 
 def translate_margin(P: HPolytope, L: Union[Ellipsoid, HPolytope]):

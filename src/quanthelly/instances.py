@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InstanceError
-from .geometry import (HalfSpace, HPolytope, is_bounded, unit_ball_volume)
+from .geometry import HPolytope, is_bounded, unit_ball_volume
 from .helly import ColorClasses, verify_colorful_hypothesis
 
 
@@ -68,7 +68,8 @@ def instance_to_dict(inst: InstanceFile) -> dict:
         "target_volume": inst.target_volume,
         "classes": [
             [
-                [{"a": h.normal.tolist(), "b": h.offset} for h in body.halfspaces]
+                [{"a": a, "b": b}
+                 for a, b in zip(body.A.tolist(), body.b.tolist())]
                 for body in members
             ]
             for members in inst.classes.classes
@@ -88,7 +89,7 @@ def _parse_body(raw, d, ci, mi) -> HPolytope:
     where = f"classes[{ci}][{mi}]"
     if not isinstance(raw, list) or not raw:
         raise InstanceError(f"{where} must be a non-empty list of constraints")
-    halfspaces = []
+    A, b = [], []
     for hi, item in enumerate(raw):
         if not isinstance(item, dict):
             raise InstanceError(f"{where}[{hi}] must be an object")
@@ -101,11 +102,11 @@ def _parse_body(raw, d, ci, mi) -> HPolytope:
             raise InstanceError(
                 f"{where}[{hi}].a must be a list of {d} numbers")
         try:
-            halfspaces.append(HalfSpace(np.array(a, dtype=float),
-                                        float(item["b"])))
+            A.append(np.array(a, dtype=float).reshape(d))
+            b.append(float(item["b"]))
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"{where}[{hi}] is malformed: {exc}")
-    return HPolytope(d, tuple(halfspaces), ((ci, mi),) * len(halfspaces))
+    return HPolytope(A, b)
 
 
 def parse_instance(path: Union[str, Path]) -> InstanceFile:
@@ -183,12 +184,7 @@ def _unit_vectors(rng, n, d):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _tagged(A, b, ci, mi) -> HPolytope:
-    P = HPolytope.from_arrays(A, b)
-    return HPolytope(P.dim, P.halfspaces, ((ci, mi),) * P.n_constraints)
-
-
-def _common_ball_body(rng, d, z, r, k, slack_scale, ci, mi) -> HPolytope:
+def _common_ball_body(rng, d, z, r, k, slack_scale) -> HPolytope:
     R = float(np.max(np.abs(z)) + r + 1.0)
     A = [np.vstack([np.eye(d), -np.eye(d)])]
     b = [np.full(2 * d, R)]
@@ -196,19 +192,19 @@ def _common_ball_body(rng, d, z, r, k, slack_scale, ci, mi) -> HPolytope:
     extra = rng.exponential(slack_scale, size=k)
     A.append(U)
     b.append(U @ z + r + extra)
-    return _tagged(np.vstack(A), np.concatenate(b), ci, mi)
+    return HPolytope(np.vstack(A), np.concatenate(b))
 
 
-def _tangent_body(rng, d, z, r, k, ci, mi) -> HPolytope:
+def _tangent_body(rng, d, z, r, k) -> HPolytope:
     U = _unit_vectors(rng, k, d)
-    body = _tagged(U, U @ z + r, ci, mi)
+    body = HPolytope(U, U @ z + r)
     if not is_bounded(body):
         # Fall back to appending axis-aligned tangent half-spaces; these keep
         # every constraint tangent to the reference ball.
         axes = np.vstack([np.eye(d), -np.eye(d)])
         A = np.vstack([U, axes])
         b = np.concatenate([U @ z + r, axes @ z + r])
-        body = _tagged(A, b, ci, mi)
+        body = HPolytope(A, b)
     return body
 
 
@@ -226,15 +222,15 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
         sizes = _class_sizes(rng, spec)
         classes = tuple(
             tuple(_common_ball_body(rng, d, z, r, spec.halfspaces_per_body,
-                                    0.5, ci, mi)
-                  for mi in range(sizes[ci]))
+                                    0.5)
+                  for _ in range(sizes[ci]))
             for ci in range(spec.class_count))
     elif spec.kind == "tangent-halfspaces":
         z = rng.uniform(-0.25, 0.25, size=d)
         sizes = _class_sizes(rng, spec)
         classes = tuple(
-            tuple(_tangent_body(rng, d, z, r, spec.halfspaces_per_body, ci, mi)
-                  for mi in range(sizes[ci]))
+            tuple(_tangent_body(rng, d, z, r, spec.halfspaces_per_body)
+                  for _ in range(sizes[ci]))
             for ci in range(spec.class_count))
     elif spec.kind == "nested-boxes":
         # Singleton classes of shrinking boxes around the target ball; class 0
@@ -243,8 +239,8 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
         widths = [r * (1.0 + 0.25 * (n - ci) + 0.05 * rng.uniform())
                   for ci in range(n)]
         classes = tuple(
-            (_tagged(np.vstack([np.eye(d), -np.eye(d)]),
-                     np.full(2 * d, widths[ci]), ci, 0),)
+            (HPolytope(np.vstack([np.eye(d), -np.eye(d)]),
+                       np.full(2 * d, widths[ci])),)
             for ci in range(n))
     else:  # adversarial
         k = spec.check_k or 2 * d
@@ -254,14 +250,14 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
             classes = []
             for ci in range(spec.class_count):
                 members = []
-                for mi in range(sizes[ci]):
+                for _ in range(sizes[ci]):
                     R = float(np.max(np.abs(z)) + r + 1.0)
                     U = _unit_vectors(rng, spec.halfspaces_per_body, d)
                     offs = U @ z + r * rng.uniform(0.1, 1.2,
                                                    spec.halfspaces_per_body)
                     A = np.vstack([np.eye(d), -np.eye(d), U])
                     b = np.concatenate([np.full(2 * d, R), offs])
-                    members.append(_tagged(A, b, ci, mi))
+                    members.append(HPolytope(A, b))
                 classes.append(tuple(members))
             cc = ColorClasses(d, tuple(classes))
             rep = verify_colorful_hypothesis(cc, min(k, spec.class_count),
@@ -284,9 +280,7 @@ def tangent_halfplane_family(seed: int, count: int, d: int,
     rng = np.random.default_rng(seed)
     for _ in range(200):
         U = _unit_vectors(rng, count, d)
-        combined = HPolytope.from_arrays(U, np.full(count, radius))
+        combined = HPolytope(U, np.full(count, radius))
         if is_bounded(combined):
-            return [HPolytope.from_arrays(U[i:i + 1],
-                                          np.array([radius]))
-                    for i in range(count)]
+            return [HPolytope(U[i:i + 1], [radius]) for i in range(count)]
     raise InstanceError("could not draw a bounded tangent family")

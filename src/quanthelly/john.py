@@ -133,22 +133,23 @@ def critical_subfamily(family: Sequence[HPolytope],
     """At most d(d+3)/2 members whose intersection shares the family's MVIE.
 
     Normalizes the full intersection to John position, decomposes the contact
-    points, and maps each surviving contact back to an originating member via
-    constraint provenance.  The certificate recomputes the MVIE over the
-    selected members and requires the relative volume gap to stay below 1e-5.
+    points, and maps each surviving contact back to the member whose rows
+    hold it.  The certificate recomputes the MVIE over the selected members
+    and requires the relative volume gap to stay below 1e-5.
     """
     family = list(family)
-    tagged = [HPolytope(C.dim, C.halfspaces, (k,) * C.n_constraints)
-              for k, C in enumerate(family)]
-    P = intersect_all(tagged)
+    P = intersect_all(family)
     _, Pn, out = _normalize_with_outcome(P, settings)
     contacts = contact_points(Pn)
     dec = john_decomposition([u for u, _ in contacts])
-    members = sorted({Pn.provenance[contacts[i][1]] for i in dec.support_indices})
+    member_of_row = np.repeat(np.arange(len(family)),
+                              [C.n_constraints for C in family])
+    members = sorted({int(member_of_row[contacts[i][1]])
+                      for i in dec.support_indices})
     # Bounded without a check: its contact normals carry a balanced John
     # decomposition (positive weights, sum w u = 0, sum w u u^T = I), so
     # they positively span R^d.
-    sub = intersect_all([tagged[k] for k in members])
+    sub = intersect_all([family[k] for k in members])
     v_sub = single_outcome(mvie_batch([sub], settings)).volume
     v_glob = out.volume
     gap = abs(v_sub - v_glob) / v_glob

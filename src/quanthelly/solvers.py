@@ -25,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
                      MaxIterations, Unbounded, VolumeInfeasible)
-from .geometry import (ACTIVE_SLACK_TOL, Ellipsoid, HalfSpace, HPolytope,
+from .geometry import (ACTIVE_SLACK_TOL, Ellipsoid, HPolytope,
                        chebyshev_center, ellipsoid_gap, ellipsoid_volume,
                        is_bounded, unit_ball_volume)
 
@@ -490,10 +490,8 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
         x, cache, steps = _newton_centering(
             prob, x, cache, t, [budget - u for u in used], tol)
         used = [u + s for u, s in zip(used, steps)]
-        if final:
-            g, _ = prob.grad_hess(cache, t)
-            gap = prob.n_barrier_terms / t
-            return live, x, cache, gap + np.sqrt(_rowdot(g, g)) / t, errors
+        # A problem that spent its budget left its centering without a
+        # decrement test at its last iterate, at the final t as at any other.
         keep = [k for k, u in enumerate(used) if u < budget]
         if len(keep) < len(used):
             for k, u in enumerate(used):
@@ -504,6 +502,10 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
                 return [], x, cache, None, errors
             live, used = [live[k] for k in keep], [used[k] for k in keep]
             x, cache, prob = x[keep], _take(cache, keep), prob.take(keep)
+        if final:
+            g, _ = prob.grad_hess(cache, t)
+            gap = prob.n_barrier_terms / t
+            return live, x, cache, gap + np.sqrt(_rowdot(g, g)) / t, errors
         t *= _T_GROWTH
 
 
@@ -612,18 +614,11 @@ def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutc
 # Lowest ellipsoid
 
 
-def height_halfspace(d: int, tau: float) -> HalfSpace:
-    """The half-space {x : x_d <= tau}."""
-    e_d = np.zeros(d)
-    e_d[-1] = 1.0
-    return HalfSpace(e_d, tau)
-
-
 def slice_below(P: HPolytope, tau: float) -> HPolytope:
-    """P intersected with the height half-space at tau."""
-    hs = height_halfspace(P.dim, tau)
-    prov = None if P.provenance is None else P.provenance + (None,)
-    return HPolytope(P.dim, P.halfspaces + (hs,), prov)
+    """P intersected with the half-space {x : x_d <= tau}."""
+    e_d = np.zeros((1, P.dim))
+    e_d[0, -1] = 1.0
+    return HPolytope(np.vstack([P.A, e_d]), np.append(P.b, tau))
 
 
 def lowest_ellipsoid_batch(polytopes, target_volume: float,

@@ -23,4 +23,4 @@ def bounded_random_polytope(rng, d, extra=8, spread=1.0):
     offs = rng.uniform(0.4, R, size=extra)
     A = np.vstack([np.eye(d), -np.eye(d), U])
     b = np.concatenate([np.full(2 * d, R), offs])
-    return HPolytope.from_arrays(A, b)
+    return HPolytope(A, b)

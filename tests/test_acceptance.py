@@ -55,7 +55,7 @@ def test_criterion_1_mvie_fixtures():
             assert np.linalg.norm(out.ellipsoid.shape - np.eye(d)) <= 1e-6
             assert np.linalg.norm(out.ellipsoid.center) <= 1e-6
         s = 1.0 / math.sqrt(2.0)
-        tri = HPolytope.from_arrays(
+        tri = HPolytope(
             np.array([[0.0, -1.0], [-1.0, 0.0], [s, s]]),
             np.array([0.0, 0.0, s]))
         out = mvie(tri)
@@ -241,7 +241,7 @@ def test_criterion_9_equivariance_and_monotonicity(rng):
             P = bounded_random_polytope(rng, 2)
             a = rng.normal(size=2)
             a /= np.linalg.norm(a)
-            Q = HPolytope.from_arrays(
+            Q = HPolytope(
                 np.vstack([P.A, a]),
                 np.concatenate([P.b, [rng.uniform(0.6, 1.5)]]))
             base = mvie(P)

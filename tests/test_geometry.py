@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quanthelly import (AffineMap, Ellipsoid, HalfSpace, HPolytope,
+from quanthelly import (AffineMap, Ellipsoid, HPolytope,
                         ellipsoid_height, ellipsoid_in_polytope,
                         ellipsoid_volume, has_interior, intersect, is_bounded,
                         min_semiaxis, support_value, transform_ellipsoid,
                         transform_polytope, unit_ball_volume)
-from quanthelly.errors import DegenerateInput, DimensionMismatch
-from quanthelly.geometry import chebyshev_center, intersect_all, polytope_slacks
+from quanthelly import geometry
+from quanthelly.errors import DegenerateInput, DimensionMismatch, Unbounded
+from quanthelly.geometry import (NORM_TOL, chebyshev_center, intersect_all,
+                                 polytope_slacks)
 
 from _oracles import sample_ellipsoid_points, support_oracle
 
@@ -19,25 +21,53 @@ from conftest import bounded_random_polytope
 
 
 # ---------------------------------------------------------------------------
-# Half-spaces and polytopes
+# Polytopes
+
+
+def _row_rule(a, b):
+    """The row scaling rule, one row at a time with the 1-D norm."""
+    nrm = float(np.linalg.norm(a))
+    if abs(nrm - 1.0) > NORM_TOL:
+        return a / nrm, b / nrm
+    return a, b
 
 
 def test_halfspace_normalizes_to_unit_normal():
-    h = HalfSpace(np.array([3.0, 4.0]), 10.0)
-    assert np.allclose(h.normal, [0.6, 0.8])
-    assert math.isclose(h.offset, 2.0)
+    P = HPolytope([[3.0, 4.0], [0.0, -2.0]], [10.0, 1.0])
+    assert np.allclose(P.A, [[0.6, 0.8], [0.0, -1.0]])
+    assert np.allclose(P.b, [2.0, 0.5])
+    assert (P.dim, P.n_constraints) == (2, 2)
+    assert not P.A.flags.writeable and not P.b.flags.writeable
 
 
 def test_halfspace_rejects_zero_normal():
+    for a in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(DegenerateInput):
+            HPolytope([[1.0, 0.0], a], [1.0, 1.0])
     with pytest.raises(DegenerateInput):
-        HalfSpace(np.zeros(2), 1.0)
+        HPolytope(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(DegenerateInput):
+        HPolytope([[1.0, 0.0]], [1.0, 2.0])
 
 
 def test_already_unit_normal_is_preserved_exactly():
-    a = np.array([1.0, 0.0])
-    h = HalfSpace(a, 0.5)
-    assert h.normal[0] == 1.0 and h.normal[1] == 0.0
-    assert h.offset == 0.5
+    P = HPolytope([[1.0, 0.0]], [0.5])
+    assert P.A[0, 0] == 1.0 and P.A[0, 1] == 0.0
+    assert P.b[0] == 0.5
+
+
+def test_rows_near_unit_follow_the_row_rule_bitwise(rng):
+    # Rows whose norms sit on both sides of NORM_TOL: the vectorized screen
+    # must leave exactly the rows the 1-D rule keeps.
+    U = rng.normal(size=(400, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    scale = 1.0 + NORM_TOL * rng.uniform(-3.0, 3.0, size=400)
+    A, b = U * scale[:, None], rng.normal(size=400)
+    P = HPolytope(A, b)
+    for i in range(400):
+        a, c = _row_rule(A[i], b[i])
+        assert np.array_equal(P.A[i], a) and P.b[i] == c
+    assert 0 < int(np.sum(np.any(P.A != A, axis=1))) < 400
 
 
 def test_box_contains_points():
@@ -50,7 +80,7 @@ def test_box_contains_points():
 
 def test_polytope_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        HPolytope(3, (HalfSpace(np.array([1.0, 0.0]), 1.0),))
+        intersect(HPolytope.box([1.0, 1.0]), HPolytope.box([1.0, 1.0, 1.0]))
 
 
 def test_polytope_slacks_signs():
@@ -155,20 +185,21 @@ def test_transform_volume_scaling(rng):
 # Intersection, boundedness, interior
 
 
-def test_intersect_concatenates_and_tags_provenance():
-    P = HPolytope.box([1.0, 1.0], provenance=(("p", 0),) * 4)
-    Q = HPolytope.box([2.0, 0.5], provenance=(("q", 1),) * 4)
+def test_intersect_concatenates_rows():
+    P = HPolytope.box([1.0, 1.0])
+    Q = HPolytope.box([2.0, 0.5])
     R = intersect(P, Q)
     assert R.n_constraints == 8
-    assert R.provenance[:4] == (("p", 0),) * 4
-    assert R.provenance[4:] == (("q", 1),) * 4
+    assert np.array_equal(R.A, np.vstack([P.A, Q.A]))
+    assert np.array_equal(R.b, np.concatenate([P.b, Q.b]))
     R3 = intersect_all([P, Q, P])
     assert R3.n_constraints == 12
+    assert np.array_equal(R3.A[8:], P.A) and np.array_equal(R3.b[8:], P.b)
 
 
 def test_is_bounded():
     assert is_bounded(HPolytope.box([1.0, 1.0]))
-    half = HPolytope.from_arrays(np.array([[1.0, 0.0]]), np.array([1.0]))
+    half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert not is_bounded(half)
 
 
@@ -181,9 +212,24 @@ def test_chebyshev_center_of_box():
 def test_has_interior_detects_degenerate_slab():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = np.array([1.0, -1.0, 1.0, 1.0])  # x == 1 slab
-    P = HPolytope.from_arrays(A, b)
+    P = HPolytope(A, b)
     assert not has_interior(P)
     assert has_interior(HPolytope.box([1.0, 1.0]))
+
+
+def test_has_interior_raises_when_chebyshev_lp_fails(monkeypatch):
+    # The Chebyshev LP caps the radius, so it always has an optimum; a status
+    # other than 0 is a solver failure, not evidence of an interior.
+    linprog = geometry.linprog
+
+    def failed(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.status = 4
+        return res
+
+    monkeypatch.setattr(geometry, "linprog", failed)
+    with pytest.raises(Unbounded):
+        has_interior(HPolytope.box([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +252,10 @@ def test_halfspace_canonicalization_idempotent(seed):
     a = rng.normal(size=3)
     if np.linalg.norm(a) < 1e-6:
         return
-    h = HalfSpace(a, float(rng.normal()))
-    h2 = HalfSpace(h.normal.copy(), h.offset)
-    assert np.array_equal(h.normal, h2.normal)
-    assert h.offset == h2.offset
+    P = HPolytope([a, 3.0 * a], [float(rng.normal()), 1.0])
+    P2 = HPolytope(P.A.copy(), P.b.copy())
+    assert np.array_equal(P.A, P2.A)
+    assert np.array_equal(P.b, P2.b)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -76,12 +76,14 @@ def test_selection_oversized_k_rejected():
         list(colorful_selections(cc, 4))
 
 
-def test_selection_intersection_provenance():
+def test_selection_intersection_stacks_rows():
     cc = classes_of_boxes([([1.0, 1.0], None)], [([2.0, 2.0], None)])
     sel = ColorfulSelection(((0, 0), (1, 0)))
     P = selection_intersection(cc, sel)
-    assert P.provenance[:4] == ((0, 0),) * 4
-    assert P.provenance[4:] == ((1, 0),) * 4
+    assert np.array_equal(P.A[:4], cc.body(0, 0).A)
+    assert np.array_equal(P.b[:4], cc.body(0, 0).b)
+    assert np.array_equal(P.A[4:], cc.body(1, 0).A)
+    assert np.array_equal(P.b[4:], cc.body(1, 0).b)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def test_minkowski_box_minus_box():
 def test_minkowski_minus_point_is_translation():
     P = HPolytope.box([1.0, 1.0])
     p = np.array([0.25, -0.5])
-    point = HPolytope.from_arrays(
+    point = HPolytope(
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
         np.array([p[0], -p[0], p[1], -p[1]]))
     D = minkowski_difference(P, point)

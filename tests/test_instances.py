@@ -187,4 +187,4 @@ def test_tangent_halfplane_family_members_are_tangent():
     assert len(family) == 12
     for member in family:
         assert member.n_constraints == 1
-        assert member.halfspaces[0].offset == pytest.approx(1.0)
+        assert member.b[0] == pytest.approx(1.0)

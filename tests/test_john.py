@@ -111,6 +111,18 @@ def test_critical_subfamily_duplicate_members():
     assert cert.volume_gap <= 1e-6
 
 
+def test_critical_subfamily_maps_contact_rows_to_members():
+    # Members of 4, 2 and 3 rows: the contacts are the rows |x| <= 1 of
+    # member 1 and |y| <= 1 of member 2 (its rows 1 and 2, not its first).
+    family = [HPolytope.box([5.0, 5.0]),
+              HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+              HPolytope([[1.0, 1.0], [0.0, 1.0], [0.0, -1.0]],
+                        [10.0, 1.0, 1.0])]
+    cert = critical_subfamily(family)
+    assert cert.selected_indices == (1, 2)
+    assert cert.volume_gap <= 1e-6
+
+
 def test_inscribed_ball_in_ellipsoid():
     E = Ellipsoid(np.diag([2.0, 0.5]), np.array([1.0, 1.0]))
     ball = inscribed_ball_in_ellipsoid(E, 0.5)

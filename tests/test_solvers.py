@@ -12,10 +12,9 @@ from quanthelly import (AffineMap, Ellipsoid, HPolytope, SolverSettings,
 from quanthelly import geometry, solvers
 from quanthelly.errors import (CertificateFailed, EmptyInterior,
                                MaxIterations, Unbounded, VolumeInfeasible)
-from quanthelly.geometry import chebyshev_center
+from quanthelly.geometry import chebyshev_center, intersect
 from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
-                                _SymSpace, height_halfspace,
-                                lowest_ellipsoid_batch, mvie_batch,
+                                _SymSpace, lowest_ellipsoid_batch, mvie_batch,
                                 slice_below)
 
 from _oracles import lowest_oracle, mvie_oracle
@@ -27,7 +26,7 @@ def triangle_polytope():
     s = 1.0 / math.sqrt(2.0)
     A = np.array([[0.0, -1.0], [-1.0, 0.0], [s, s]])
     b = np.array([0.0, 0.0, s])
-    return HPolytope.from_arrays(A, b)
+    return HPolytope(A, b)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_mvie_offcenter_box():
 
 
 def test_mvie_rejects_unbounded():
-    half = HPolytope.from_arrays(np.array([[1.0, 0.0]]), np.array([1.0]))
+    half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(Unbounded):
         mvie(half)
 
@@ -161,7 +160,7 @@ def test_mvie_rejects_empty_interior():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = np.array([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(EmptyInterior):
-        mvie(HPolytope.from_arrays(A, b))
+        mvie(HPolytope(A, b))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,8 @@ def test_batch_outcomes_equal_lone_solves(rng, monkeypatch, d, objective):
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_ends_at_first_empty_polytope(rng, d, objective):
     far = [3.0] + [0.0] * (d - 1)
-    empty = HPolytope(d, HPolytope.box([1.0] * d).halfspaces
-                      + HPolytope.box([1.0] * d, center=far).halfspaces)
+    empty = intersect(HPolytope.box([1.0] * d),
+                      HPolytope.box([1.0] * d, center=far))
     polytopes = [bounded_random_polytope(rng, d) for _ in range(2)]
     polytopes += [empty, bounded_random_polytope(rng, d)]
     out, error = _solve(objective, polytopes, DEFAULT_SETTINGS, 0.1)
@@ -234,7 +233,7 @@ def test_batch_step_budget_matches_lone_solves(rng, d, objective):
     polytopes = [bounded_random_polytope(rng, d, extra=e)
                  for e in (4, 12, 8, 4, 12, 8, 8, 8)]
     target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
-    settings = SolverSettings(max_iterations=48)
+    settings = SolverSettings(max_iterations=52)
     alone = [_solve(objective, [P], settings, target) for P in polytopes]
     failing = [error is not None for _, error in alone]
     assert any(failing) and not all(failing)
@@ -248,6 +247,16 @@ def test_batch_step_budget_matches_lone_solves(rng, d, objective):
             assert _same_outcome(o, alone[i][0][0])
         lone_error = alone[order[first]][1]
         assert (type(error), str(error)) == (type(lone_error), str(lone_error))
+
+
+def test_budget_spent_in_final_centering_raises():
+    # 40 steps run out in the centering at the final t (44 do not): the
+    # problem never passed its decrement test there, so it has no value.
+    P = HPolytope.box([1.0, 2.0], center=[0.3, -0.2])
+    out, error = mvie_batch([P], SolverSettings(max_iterations=40))
+    assert out == [] and isinstance(error, MaxIterations)
+    out, error = mvie_batch([P], SolverSettings(max_iterations=44))
+    assert error is None and out[0].kkt_residual < 1e-6
 
 
 @pytest.mark.parametrize("objective", ["mvie", "lowest"])
@@ -301,7 +310,7 @@ def test_lowest_volume_infeasible():
 
 
 def test_lowest_checks_target_then_boundedness():
-    half = HPolytope.from_arrays(np.array([[1.0, 0.0]]), np.array([1.0]))
+    half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(VolumeInfeasible):
         lowest_ellipsoid(half, -1.0)
     with pytest.raises(Unbounded):
@@ -362,8 +371,8 @@ def test_mvie_monotone_under_added_constraint(seed):
     base = mvie(P).volume
     a = rng.normal(size=2)
     a /= np.linalg.norm(a)
-    Q = HPolytope.from_arrays(np.vstack([P.A, a]),
-                              np.concatenate([P.b, [rng.uniform(0.5, 2.0)]]))
+    Q = HPolytope(np.vstack([P.A, a]),
+                  np.concatenate([P.b, [rng.uniform(0.5, 2.0)]]))
     if chebyshev_center(Q)[1] < -DEFAULT_SETTINGS.feasibility_tol:
         return
     try:
@@ -380,7 +389,7 @@ def test_mvie_monotone_under_added_constraint(seed):
 def test_chebyshev_margin_signals_feasibility():
     x, margin = chebyshev_center(HPolytope.box([1.0, 1.0]))
     assert margin >= 0.0 and np.all(np.abs(x) <= 1.0 + 1e-9)
-    empty = HPolytope.from_arrays(
+    empty = HPolytope(
         np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
     assert chebyshev_center(empty)[1] < -DEFAULT_SETTINGS.feasibility_tol
 
@@ -390,10 +399,12 @@ def test_polytope_volume_2d_fixtures():
     assert polytope_volume_2d(triangle_polytope()) == pytest.approx(0.5)
 
 
-def test_height_halfspace():
-    h = height_halfspace(3, 2.5)
-    assert np.allclose(h.normal, [0.0, 0.0, 1.0])
-    assert h.offset == 2.5
+def test_slice_below_appends_height_row():
+    P = HPolytope.box([1.0, 1.0, 1.0])
+    S = slice_below(P, 2.5)
+    assert np.array_equal(S.A[:6], P.A) and np.array_equal(S.b[:6], P.b)
+    assert np.array_equal(S.A[6], [0.0, 0.0, 1.0])
+    assert S.b[6] == 2.5
 
 
 def test_lowest_raises_when_slab_mvie_disagrees(monkeypatch):
