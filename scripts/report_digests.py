@@ -24,6 +24,14 @@ one line: its label, the exit code, the sha256 of the report with every
 its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.
+
+Reports round to 12 significant digits, so a last section digests the
+solvers' bits: ``mvie_batch`` and ``lowest_ellipsoid_batch`` over two fixed
+sweep stacks (the colorful selections of one instance at d=2 and at d=3),
+at the default step budget and at one that fails mid-stack.  Each prints one
+line with the number of outcomes, the error type and the sha256 of the raw
+float64 bytes of every outcome (shape, center, objective, KKT bound) and its
+active set.
 """
 import argparse
 import contextlib
@@ -33,6 +41,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +54,11 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
                   ("colell-d3", "common-ball", 3, 9, 2),
                   ("ell-d2", "tangent-halfspaces", 2, 6, 2)]
 WORKLOAD_SEEDS = (1, 2, 3)
+# (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
+# colorful k-selections of that instance, 63 problems each
+SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
+# fails after 44 of the d=2 problems and 7 of the d=3 ones, in both solvers
+FAILING_BUDGET = 64
 
 
 def _without_wall_time(obj):
@@ -88,6 +103,41 @@ def _commands(d: int, adversarial: bool):
     return cmds
 
 
+def _outcome_digest(outcomes, error) -> str:
+    h = hashlib.sha256()
+    for out in outcomes:
+        E = out.ellipsoid
+        for arr in (E.shape, E.center, [out.objective, out.kkt_residual]):
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        active = np.asarray(out.active_constraints, dtype=np.int64)
+        h.update(np.int64(active.size).tobytes() + active.tobytes())
+    name = "-" if error is None else type(error).__name__
+    h.update(name.encode())
+    return f"outcomes={len(outcomes)} error={name} bits={h.hexdigest()}"
+
+
+def _solver_bits():
+    from quanthelly.helly import colorful_selections, selection_intersection
+    from quanthelly.instances import GeneratorSpec, generate
+    from quanthelly.solvers import (SolverSettings, lowest_ellipsoid_batch,
+                                    mvie_batch)
+
+    for *spec, k in SOLVER_STACKS:
+        inst = generate(GeneratorSpec(*spec))
+        stack = [selection_intersection(inst.classes, sel)
+                 for sel in colorful_selections(inst.classes, k)]
+        for budget in ("default", FAILING_BUDGET):
+            settings = SolverSettings() if budget == "default" \
+                else SolverSettings(max_iterations=budget)
+            for name, batch in (
+                    ("mvie_batch", mvie_batch(stack, settings)),
+                    ("lowest_ellipsoid_batch", lowest_ellipsoid_batch(
+                        stack, inst.target_volume, settings))):
+                print(f"bits {name} d={inst.dimension} n={len(stack)} "
+                      f"budget={budget}: {_outcome_digest(*batch)}",
+                      flush=True)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"),
@@ -120,6 +170,7 @@ def main(argv=None) -> int:
                     else cmd[:1] + [str(path)] + cmd[1:]
                 line = _invoke(cli_main, argv, tmp / "report.json")
                 print(f"{label} {' '.join(cmd)}: {line}", flush=True)
+    _solver_bits()
     return 0
 
 

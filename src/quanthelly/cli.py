@@ -2,7 +2,8 @@
 pipeline subcommands, machine-readable reports.
 
 Exit codes: 0 success / witness found; 2 hypothesis violated; 3 numerical
-failure; 4 input error.
+failure (any library error that is not 2 or 4); 4 input error (bad usage,
+InstanceError, DimensionMismatch, DegenerateInput, any OSError).
 """
 from __future__ import annotations
 
@@ -13,12 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (CertificateFailed, DecompositionInfeasible,
-                     DegenerateInput, DimensionMismatch, EmptyInterior,
-                     HypothesisViolated, InstanceError, MaxIterations,
-                     NormalizationFailed, NotInJohnPosition, NoWitness,
-                     Step3Failed, SupportOutOfRange, Unbounded,
-                     VolumeInfeasible, WitnessContainmentFailed)
+from .errors import (DegenerateInput, DimensionMismatch, HypothesisViolated,
+                     InstanceError, QuantHellyError)
 from .geometry import ellipsoid_volume
 from .helly import (colell_pipeline, saxuso_scenario, theorem1_pipeline,
                     verify_colorful_hypothesis)
@@ -32,25 +29,26 @@ EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
 EXIT_INPUT = 4
 
-_NUMERICAL_ERRORS = (Step3Failed, NoWitness, MaxIterations, CertificateFailed,
-                     NormalizationFailed, WitnessContainmentFailed,
-                     VolumeInfeasible, DecompositionInfeasible,
-                     SupportOutOfRange, NotInJohnPosition, Unbounded,
-                     EmptyInterior)
-_INPUT_ERRORS = (InstanceError, DimensionMismatch, DegenerateInput,
-                 FileNotFoundError, IsADirectoryError, PermissionError)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-feas", type=float, default=1e-9,
+    common.add_argument("--tol-feas", type=_tolerance, default=1e-9,
                         help="feasibility tolerance")
-    common.add_argument("--tol-kkt", type=float, default=1e-7,
-                        help="KKT residual tolerance")
+    common.add_argument("--tol-kkt", type=_tolerance, default=1e-7,
+                        help="KKT residual tolerance (recorded in reports, "
+                             "not yet enforced)")
     common.add_argument("--skip-hypothesis-check", action="store_true",
                         help="skip the combinatorial hypothesis verification")
     common.add_argument("--threads", type=int, default=1,
@@ -228,7 +226,8 @@ def _cmd_run(args) -> int:
         rep = theorem1_pipeline(inst.classes, inst.target_volume, settings,
                                 check_hypothesis=check)
     else:
-        rep = saxuso_scenario(inst.classes, settings)
+        rep = saxuso_scenario(inst.classes, settings,
+                              check_hypothesis=check)
     print(f"{args.pipeline} witness_class={rep.witness_class} "
           f"witness_volume={_fmt(rep.witness_volume)}")
     _emit(args, _report_envelope(args, rep.to_dict()))
@@ -275,7 +274,11 @@ def main(argv=None) -> int:
             print(f"failing selection: {list(exc.failure.picks)}",
                   file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except _NUMERICAL_ERRORS as exc:
+    except (InstanceError, DimensionMismatch, DegenerateInput,
+            OSError) as exc:
+        print(f"input error: {exc}")
+        return EXIT_INPUT
+    except QuantHellyError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}")
         for attr in ("gaps", "margins"):
             detail = getattr(exc, attr, None)
@@ -283,9 +286,6 @@ def main(argv=None) -> int:
                 print(f"{attr}: {[f'{g:.3e}' for g in np.atleast_1d(detail)]}",
                       file=sys.stderr)
         return EXIT_NUMERICAL
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}")
-        return EXIT_INPUT
 
 
 def console_main():

@@ -132,10 +132,6 @@ class Ellipsoid:
         c = np.asarray(center, dtype=float).reshape(-1)
         return cls(radius * np.eye(c.shape[0]), c)
 
-    def boundary_points(self, directions: np.ndarray) -> np.ndarray:
-        """Image of unit vectors under the ellipsoid map."""
-        return directions @ self.shape.T + self.center[None, :]
-
 
 @dataclasses.dataclass(frozen=True)
 class AffineMap:
@@ -162,11 +158,6 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x @ self.linear.T + self.shift
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x |-> self(other(x))."""
-        return AffineMap(self.linear @ other.linear,
-                         self.linear @ other.shift + self.shift)
 
     def inverse(self) -> "AffineMap":
         Linv = np.linalg.inv(self.linear)

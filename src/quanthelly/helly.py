@@ -183,10 +183,12 @@ def selection_intersection(classes: ColorClasses,
 def _sweep(classes: ColorClasses, k: int, solve_batch):
     """Solves the colorful k-selections in lexicographic order.
     ``solve_batch`` receives their intersections as a lazy iterable and
-    returns (outcomes, error) as ``mvie_batch`` does, so selections past a
-    failing start LP are never enumerated.  Returns (pairs, failure): the
-    (selection, outcome) pairs before the first failure, and (selection,
-    error) of that failure, or None."""
+    returns (outcomes, error) as ``mvie_batch`` does.  ``mvie_batch`` stops
+    iterating at a failing start LP, so the selections past it are never
+    enumerated; ``lowest_ellipsoid_batch`` lists its whole input first, so
+    a lowest sweep builds every intersection.  Returns (pairs, failure):
+    the (selection, outcome) pairs before the first failure, and
+    (selection, error) of that failure, or None."""
     sels = []
 
     def intersections():
@@ -319,6 +321,26 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
                             f"{type(error).__name__}: {error}")
 
 
+def _require_classes(classes: ColorClasses, n: int, what: str):
+    if classes.n_classes != n:
+        raise InstanceError(
+            f"{what} needs exactly {n} classes for d={classes.dim}, "
+            f"got {classes.n_classes}")
+
+
+def _require_hypothesis(classes: ColorClasses, k: int, volume: float,
+                        settings: SolverSettings,
+                        what: str) -> HypothesisReport:
+    """The hypothesis report of the k-selections at volume; raises
+    HypothesisViolated when it fails."""
+    rep = verify_colorful_hypothesis(classes, k, volume, settings)
+    if not rep.passed:
+        raise HypothesisViolated(
+            f"{what} hypothesis fails: {rep.failure_reason}",
+            failure=rep.failure)
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # Colorful Helly witness via Minkowski differences
 
@@ -385,17 +407,9 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
     t_start = time.perf_counter()
     d = classes.dim
     nc = d * (d + 3) // 2
-    if classes.n_classes != nc:
-        raise InstanceError(
-            f"pipeline needs exactly {nc} classes for d={d}, "
-            f"got {classes.n_classes}")
+    _require_classes(classes, nc, "pipeline")
     if check_hypothesis:
-        rep = verify_colorful_hypothesis(classes, nc, target_volume,
-                                         settings)
-        if not rep.passed:
-            raise HypothesisViolated(
-                f"colorful hypothesis fails: {rep.failure_reason}",
-                failure=rep.failure)
+        _require_hypothesis(classes, nc, target_volume, settings, "colorful")
     inner = _inner(settings)
     outs, (sel_max, best) = _highest_lowest(classes, nc, target_volume, inner)
     e_max = best.ellipsoid
@@ -446,17 +460,10 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     """
     t_start = time.perf_counter()
     d = classes.dim
-    if classes.n_classes != 3 * d:
-        raise InstanceError(
-            f"pipeline needs exactly {3 * d} classes for d={d}, "
-            f"got {classes.n_classes}")
+    _require_classes(classes, 3 * d, "pipeline")
     if check_hypothesis:
-        rep = verify_colorful_hypothesis(classes, 2 * d, target_volume,
-                                         settings)
-        if not rep.passed:
-            raise HypothesisViolated(
-                f"colorful hypothesis fails: {rep.failure_reason}",
-                failure=rep.failure)
+        _require_hypothesis(classes, 2 * d, target_volume, settings,
+                            "colorful")
     inner = _inner(settings)
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
@@ -542,35 +549,25 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
 
 
 def saxuso_scenario(classes: ColorClasses,
-                    settings: SolverSettings = DEFAULT_SETTINGS
-                    ) -> PipelineReport:
+                    settings: SolverSettings = DEFAULT_SETTINGS,
+                    check_hypothesis: bool = True) -> PipelineReport:
     """d(d+3)/2 classes with 2d-selection hypothesis at volume 1: measure the
-    worst full-selection MVIE volume and run the many-classes pipeline at it."""
+    worst full-selection MVIE volume and run the many-classes pipeline at it.
+    With the hypothesis check skipped, the ``hypothesis_min_volume``
+    certificate is None."""
     t_start = time.perf_counter()
     d = classes.dim
     nc = d * (d + 3) // 2
-    if classes.n_classes != nc:
-        raise InstanceError(
-            f"scenario needs exactly {nc} classes for d={d}, "
-            f"got {classes.n_classes}")
-    rep = verify_colorful_hypothesis(classes, 2 * d, 1.0, settings)
-    if not rep.passed:
-        raise HypothesisViolated(
-            f"2d-selection hypothesis fails: {rep.failure_reason}",
-            failure=rep.failure)
+    _require_classes(classes, nc, "scenario")
+    rep = _require_hypothesis(classes, 2 * d, 1.0, settings,
+                              "2d-selection") if check_hypothesis else None
     inner = _inner(settings)
     v = min(out.volume for _, out in _solved(
         _sweep(classes, nc, lambda Ps: mvie_batch(Ps, inner))))
-    v_eff = v * (1.0 - 1e-9)
-    report = colell_pipeline(classes, v_eff, settings,
+    report = colell_pipeline(classes, v * (1.0 - 1e-9), settings,
                              check_hypothesis=False)
-    certs = dict(report.certificates)
-    certs["worst_selection_volume"] = v
-    certs["hypothesis_min_volume"] = rep.min_volume
-    return PipelineReport(
-        witness_class=report.witness_class,
-        witness_ellipsoid=report.witness_ellipsoid,
-        witness_volume=report.witness_volume,
-        normalization=report.normalization,
-        certificates=certs,
-        wall_time=time.perf_counter() - t_start)
+    certs = dict(report.certificates, worst_selection_volume=v,
+                 hypothesis_min_volume=None if rep is None
+                 else rep.min_volume)
+    return dataclasses.replace(report, certificates=certs,
+                               wall_time=time.perf_counter() - t_start)

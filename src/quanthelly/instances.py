@@ -151,6 +151,8 @@ def parse_instance(path: Union[str, Path]) -> InstanceFile:
 # ---------------------------------------------------------------------------
 # Generators
 
+# Attempts the adversarial generator makes to violate the hypothesis.
+_RETRY_BUDGET = 200
 
 @dataclasses.dataclass(frozen=True)
 class GeneratorSpec:
@@ -163,7 +165,6 @@ class GeneratorSpec:
     members_per_class: int
     target_volume: float = 1.0
     halfspaces_per_body: int = 8
-    retry_budget: int = 200
     check_k: Optional[int] = None  # selection size the adversarial kind violates
 
     def __post_init__(self):
@@ -244,7 +245,7 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
             for ci in range(n))
     else:  # adversarial
         k = spec.check_k or 2 * d
-        for _ in range(spec.retry_budget):
+        for _ in range(_RETRY_BUDGET):
             z = rng.uniform(-0.5, 0.5, size=d)
             sizes = _class_sizes(rng, spec)
             classes = []
@@ -265,7 +266,7 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
             if not rep.passed:
                 return InstanceFile(d, spec.target_volume, cc)
         raise InstanceError(
-            f"adversarial generation exhausted {spec.retry_budget} attempts "
+            f"adversarial generation exhausted {_RETRY_BUDGET} attempts "
             "without violating the hypothesis")
 
     return InstanceFile(d, spec.target_volume,

@@ -53,9 +53,9 @@ class SolverSettings:
     gap_target: float = _GAP_TARGET
 
     def __post_init__(self):
-        if not (self.feasibility_tol > 0 and self.kkt_tol > 0
-                and self.max_iterations > 0
-                and self.gap_target > 0):
+        tols = (self.feasibility_tol, self.kkt_tol, self.gap_target)
+        if not (all(math.isfinite(x) and x > 0 for x in tols)
+                and self.max_iterations > 0):
             raise ValueError("invalid solver settings")
 
 

@@ -10,7 +10,6 @@ import re
 import time
 
 import numpy as np
-import pytest
 
 from quanthelly import (AffineMap, Ellipsoid, GeneratorSpec, HPolytope,
                         colell_pipeline, contact_points,
@@ -20,7 +19,6 @@ from quanthelly import (AffineMap, Ellipsoid, GeneratorSpec, HPolytope,
                         theorem1_pipeline, transform_ellipsoid,
                         transform_polytope, unit_ball_volume)
 from quanthelly.errors import EmptyInterior
-from quanthelly.geometry import intersect_all
 from quanthelly.instances import tangent_halfplane_family
 from quanthelly.solvers import slice_below
 

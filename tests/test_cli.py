@@ -6,8 +6,12 @@ import math
 import pytest
 
 from quanthelly import GeneratorSpec, emit_instance, generate
+from quanthelly import cli
 from quanthelly.cli import (EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_NUMERICAL,
                             EXIT_OK, main)
+from quanthelly.errors import (DegenerateInput, DimensionMismatch,
+                               HypothesisViolated, InstanceError,
+                               QuantHellyError)
 
 
 def run_cli(argv):
@@ -24,6 +28,14 @@ def square_instance(tmp_path):
         {"a": [0.0, 1.0], "b": 1.0}, {"a": [0.0, -1.0], "b": 1.0}]]]}
     path = tmp_path / "square.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def adversarial_instance(tmp_path):
+    inst = generate(GeneratorSpec("adversarial", 2, 2, 5, 2, check_k=4))
+    path = tmp_path / "adv.json"
+    emit_instance(inst, path)
     return str(path)
 
 
@@ -59,12 +71,9 @@ def test_verify_hypothesis_pass(square_instance):
     assert "hypothesis holds" in out
 
 
-def test_verify_hypothesis_violated(tmp_path):
-    inst = generate(GeneratorSpec("adversarial", 2, 2, 5, 2, check_k=4))
-    path = tmp_path / "adv.json"
-    emit_instance(inst, path)
-    code, out = run_cli(["verify-hypothesis", str(path), "--k", "4",
-                         "--out", "/dev/null"])
+def test_verify_hypothesis_violated(adversarial_instance):
+    code, out = run_cli(["verify-hypothesis", adversarial_instance,
+                         "--k", "4", "--out", "/dev/null"])
     assert code == EXIT_HYPOTHESIS
     assert "violated" in out
 
@@ -116,6 +125,22 @@ def test_run_skip_hypothesis_check_numerical_failure(tmp_path):
     assert "numerical failure" in out
 
 
+def test_run_saxuso_honours_skip_hypothesis_check(adversarial_instance,
+                                                  tmp_path):
+    # the 2d-selection hypothesis fails on this instance (k=4)
+    code, out = run_cli(["run", "saxuso", adversarial_instance,
+                         "--out", "/dev/null"])
+    assert code == EXIT_HYPOTHESIS
+    out_path = tmp_path / "saxuso.json"
+    code, out = run_cli(["run", "saxuso", adversarial_instance,
+                         "--skip-hypothesis-check", "--out", str(out_path)])
+    assert code == EXIT_OK
+    assert out.startswith("saxuso witness_class=")
+    certs = json.loads(out_path.read_text())["report"]["certificates"]
+    assert certs["hypothesis_min_volume"] is None
+    assert certs["worst_selection_volume"] > 0.0
+
+
 def test_input_errors_exit_4(tmp_path):
     code, out = run_cli(["mvie", str(tmp_path / "missing.json")])
     assert code == EXIT_INPUT
@@ -139,6 +164,55 @@ def test_out_of_range_arguments_exit_4(square_instance, argv):
                         + ["--out", "/dev/null"])
     assert code == EXIT_INPUT
     assert "input error" in out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol-feas", "0"), ("--tol-feas", "-1"), ("--tol-feas", "nan"),
+    ("--tol-feas", "inf"), ("--tol-feas", "x"), ("--tol-kkt", "-1"),
+    ("--tol-kkt", "0"), ("--tol-kkt", "nan"), ("--tol-kkt", "inf"),
+])
+def test_invalid_tolerance_exit_4(nested_instance, flag, value):
+    code, out = run_cli(["run", "colell", nested_instance, flag, value,
+                         "--out", "/dev/null"])
+    assert code == EXIT_INPUT
+
+
+def test_path_through_a_file_exit_4(square_instance):
+    code, out = run_cli(["mvie", square_instance + "/x.json"])
+    assert code == EXIT_INPUT
+    assert "input error" in out
+    code, out = run_cli(["mvie", square_instance,
+                         "--out", square_instance + "/r.json"])
+    assert code == EXIT_INPUT
+    assert "input error" in out
+
+
+def _library_errors():
+    seen, todo = [], [QuantHellyError]
+    while todo:
+        cls = todo.pop()
+        if cls not in seen:
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+    return seen
+
+
+@pytest.mark.parametrize("error", _library_errors(),
+                         ids=lambda cls: cls.__name__)
+def test_every_library_error_has_an_exit_code(monkeypatch, square_instance,
+                                              error):
+    def fail(args):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._DISPATCH, "mvie", fail)
+    code, out = run_cli(["mvie", square_instance])
+    if error is HypothesisViolated:
+        assert code == EXIT_HYPOTHESIS
+    elif error in (InstanceError, DimensionMismatch, DegenerateInput):
+        assert code == EXIT_INPUT
+    else:
+        assert code == EXIT_NUMERICAL
+    assert "injected" in out
 
 
 def test_bad_usage_exit_4():

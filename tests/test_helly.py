@@ -12,8 +12,7 @@ from quanthelly import (ColorClasses, ColorfulSelection, Ellipsoid, HPolytope,
                         verify_colorful_hypothesis)
 from quanthelly import solvers
 from quanthelly.errors import (HypothesisViolated, InstanceError,
-                               MaxIterations, NoWitness,
-                               WitnessContainmentFailed)
+                               MaxIterations, NoWitness)
 from quanthelly.geometry import chebyshev_center
 from quanthelly.helly import (selection_count, selection_intersection,
                               translate_margin)
@@ -400,3 +399,16 @@ def test_saxuso_violated_hypothesis():
         [([2.0, 2.0], None)], [([2.0, 2.0], None)])
     with pytest.raises(HypothesisViolated):
         saxuso_scenario(bad)
+
+
+def test_saxuso_skip_hypothesis_check():
+    bad = classes_of_boxes(
+        [([0.1, 0.1], None)], [([2.0, 2.0], None)], [([2.0, 2.0], None)],
+        [([2.0, 2.0], None)], [([2.0, 2.0], None)])
+    rep = saxuso_scenario(bad, check_hypothesis=False)
+    assert rep.certificates["hypothesis_min_volume"] is None
+    v = rep.certificates["worst_selection_volume"]
+    assert v == pytest.approx(mvie(HPolytope.box([0.1, 0.1])).volume,
+                              rel=1e-6)
+    for body in bad.classes[rep.witness_class]:
+        assert ellipsoid_in_polytope(rep.witness_ellipsoid, body, tol=1e-6)

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from quanthelly import (GeneratorSpec, HPolytope, emit_instance, generate,
+from quanthelly import (GeneratorSpec, emit_instance, generate,
                         parse_instance, unit_ball_volume,
                         verify_colorful_hypothesis)
 from quanthelly.errors import InstanceError
-from quanthelly.instances import (InstanceFile, canonical_json, emit_report,
+from quanthelly.instances import (canonical_json, emit_report,
                                   tangent_halfplane_family)
-from quanthelly.helly import ColorClasses
 
 
 def minimal_instance_text():

@@ -6,8 +6,7 @@ import pytest
 from quanthelly import (Ellipsoid, HPolytope, contact_points,
                         critical_subfamily, inscribed_ball_in_ellipsoid,
                         john_decomposition, mvie, normalize_to_john_position)
-from quanthelly.errors import (DecompositionInfeasible, NotInJohnPosition,
-                               SupportOutOfRange)
+from quanthelly.errors import DecompositionInfeasible, NotInJohnPosition
 from quanthelly.geometry import intersect_all
 from quanthelly.instances import tangent_halfplane_family
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanthelly import (AffineMap, Ellipsoid, HPolytope, SolverSettings,
+from quanthelly import (AffineMap, HPolytope, SolverSettings,
                         ellipsoid_in_polytope, ellipsoid_volume,
                         lowest_ellipsoid, mvie, polytope_volume_2d,
                         transform_ellipsoid, transform_polytope)
@@ -443,3 +443,11 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
     assert count(lambda: lowest_ellipsoid_batch(polytopes, target)) == 3
     assert count(lambda: mvie(polytopes[0])) == 2 * d + 1
     assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 2 * d + 2
+
+
+@pytest.mark.parametrize("field", ["feasibility_tol", "kkt_tol",
+                                   "gap_target"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_settings_reject_nonpositive_and_nonfinite_tolerances(field, value):
+    with pytest.raises(ValueError):
+        SolverSettings(**{field: value})
