@@ -31,7 +31,11 @@ sweep stacks (the colorful selections of one instance at d=2 and at d=3),
 at the default step budget and at one that fails mid-stack.  Each prints one
 line with the number of outcomes, the error type and the sha256 of the raw
 float64 bytes of every outcome (shape, center, objective, KKT bound) and its
-active set.
+active set.  Then one ``lp`` line per stack digests its start LPs, the
+Chebyshev-center LP of each polytope: the sha256 of every LP's status and
+the raw float64 bytes of its solution and objective, read wherever the
+checkout calls HiGHS (``geometry._lp``, or scipy's ``linprog`` where the
+package has no such function).
 """
 import argparse
 import contextlib
@@ -116,6 +120,50 @@ def _outcome_digest(outcomes, error) -> str:
     return f"outcomes={len(outcomes)} error={name} bits={h.hexdigest()}"
 
 
+@contextlib.contextmanager
+def _recorded_lps(geometry, record):
+    """Calls record(status, x, fun) on every LP that geometry solves."""
+    if hasattr(geometry, "_lp"):
+        name, solve = "_lp", geometry._lp
+
+        def recorded(*args):
+            out = solve(*args)
+            record(*out)
+            return out
+    else:
+        name, solve = "linprog", geometry.linprog
+
+        def recorded(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            record(res.status, res.x, res.fun)
+            return res
+    setattr(geometry, name, recorded)
+    try:
+        yield
+    finally:
+        setattr(geometry, name, solve)
+
+
+def _lp_digest(stack) -> str:
+    from quanthelly import geometry
+
+    h = hashlib.sha256()
+    count = 0
+
+    def record(status, x, fun):
+        nonlocal count
+        count += 1
+        h.update(np.int64(status).tobytes())
+        for value in (x, fun):
+            h.update(b"-" if value is None else
+                     np.ascontiguousarray(value, dtype=np.float64).tobytes())
+
+    with _recorded_lps(geometry, record):
+        for P in stack:
+            geometry.chebyshev_center(P)
+    return f"lps={count} bits={h.hexdigest()}"
+
+
 def _solver_bits():
     from quanthelly.helly import colorful_selections, selection_intersection
     from quanthelly.instances import GeneratorSpec, generate
@@ -126,6 +174,8 @@ def _solver_bits():
         inst = generate(GeneratorSpec(*spec))
         stack = [selection_intersection(inst.classes, sel)
                  for sel in colorful_selections(inst.classes, k)]
+        print(f"lp chebyshev_center d={inst.dimension} n={len(stack)}: "
+              f"{_lp_digest(stack)}", flush=True)
         for budget in ("default", FAILING_BUDGET):
             settings = SolverSettings() if budget == "default" \
                 else SolverSettings(max_iterations=budget)

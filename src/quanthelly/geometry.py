@@ -7,10 +7,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+
+try:  # private, from scipy 1.15: HiGHS without linprog's per-call wrapper
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 from .errors import DegenerateInput, DimensionMismatch, Unbounded
 
@@ -255,19 +261,110 @@ def intersect_all(polys: Sequence[HPolytope]) -> HPolytope:
                      np.concatenate([Q.b for Q in polys]))
 
 
+# ---------------------------------------------------------------------------
+# Linear programs
+
+# linprog's post-solve check: an optimum whose bounds or residuals are off by
+# more than sqrt(tol) * 10, with its default tol of 1e-9, becomes status 4.
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _lp_options():
+    """The options linprog(method="highs") passes to HiGHS, built once."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = \
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
+if _highs is not None:
+    _LP_OPTIONS = _lp_options()
+    _MS = _highs.HighsModelStatus
+    # HiGHS model status to linprog status, as scipy maps it; any other is 4
+    _LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
+                  _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
+_THREAD = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS object.  passModel clears the previous LP's model,
+    basis and solution, so reuse keeps every LP's bits (the LP corpus test
+    checks this) and saves building a solver per LP."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_LP_OPTIONS)
+    return highs
+
+
+def _lp(c, A, b, lb, ub):
+    """min c.x subject to A x <= b and lb <= x <= ub (infinite entries are
+    free), as (status, x, fun) with linprog's status codes; x and fun are
+    None unless HiGHS reports an optimum.
+
+    HiGHS is called directly, with the model, options and post-solve check
+    of linprog(method="highs"), so status, x and fun are bitwise linprog's.
+    Without scipy's private HiGHS module (scipy < 1.15) linprog is called.
+    """
+    if _highs is None:
+        res = linprog(c, A_ub=A, b_ub=b, bounds=np.column_stack([lb, ub]),
+                      method="highs")
+        return res.status, res.x, res.fun
+    m, n = A.shape
+    lp = _highs.HighsLp()  # kHighsInf is inf, so bounds pass through as is
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.full(m, -np.inf)
+    lp.row_upper_ = b
+    # column-wise, nonzeros only, as csc_array stores a dense matrix
+    At = A.T
+    nonzero = At != 0
+    mat = lp.a_matrix_
+    mat.num_col_ = n
+    mat.num_row_ = m
+    mat.format_ = _highs.MatrixFormat.kColwise
+    mat.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    mat.index_ = np.nonzero(nonzero)[1]
+    mat.value_ = At[nonzero]
+    highs = _solver()
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return 2, None, None
+    failed = highs.run() == _highs.HighsStatus.kError
+    model = highs.getModelStatus()
+    status = _LP_STATUS.get(model, 4)
+    if failed or model != _MS.kOptimal:  # linprog reads no solution then
+        return (4 if status == 0 else status), None, None
+    sol = highs.getSolution()
+    x = np.array(sol.col_value)
+    fun = highs.getInfo().objective_function_value
+    slack = b - np.array(sol.row_value)
+    tol = _LP_CHECK_TOL
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+            or not np.all((x >= lb - tol) & (x <= ub + tol))
+            or (slack < -tol).any()):
+        status = 4
+    return status, x, fun
+
+
 def is_bounded(P: HPolytope) -> bool:
     """Boundedness via 2d LPs: max of +/- x_i all finite (empty counts as bounded)."""
     d = P.dim
-    bounds = [(None, None)] * d
+    lb, ub = np.full(d, -np.inf), np.full(d, np.inf)
     for i in range(d):
         for sign in (1.0, -1.0):
             c = np.zeros(d)
             c[i] = -sign  # maximize sign * x_i
-            res = linprog(c, A_ub=P.A, b_ub=P.b, bounds=bounds,
-                          method="highs")
-            if res.status == 3:
+            status, _, _ = _lp(c, P.A, P.b, lb, ub)
+            if status == 3:
                 return False
-            if res.status == 2:  # empty set
+            if status == 2:  # empty set
                 return True
     return True
 
@@ -282,11 +379,12 @@ def chebyshev_center(P: HPolytope):
     A = np.hstack([P.A, np.ones((P.n_constraints, 1))])
     c = np.zeros(d + 1)
     c[-1] = -1.0
-    bounds = [(None, None)] * d + [(None, 1e6)]
-    res = linprog(c, A_ub=A, b_ub=P.b, bounds=bounds, method="highs")
-    if res.status != 0:
+    ub = np.full(d + 1, np.inf)
+    ub[-1] = 1e6
+    status, x, _ = _lp(c, A, P.b, np.full(d + 1, -np.inf), ub)
+    if status != 0:
         raise Unbounded("Chebyshev LP did not solve; polytope likely unbounded")
-    return res.x[:d].copy(), float(res.x[d])
+    return x[:d].copy(), float(x[d])
 
 
 def has_interior(P: HPolytope, tol: float = 1e-9) -> bool:

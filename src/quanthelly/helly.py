@@ -18,12 +18,11 @@ import time
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
                      InstanceError, NormalizationFailed, NoWitness,
                      Step3Failed, Unbounded, WitnessContainmentFailed)
-from .geometry import (AffineMap, Ellipsoid, HPolytope, chebyshev_center,
+from .geometry import (AffineMap, Ellipsoid, HPolytope, _lp, chebyshev_center,
                        ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_height,
                        ellipsoid_volume, has_interior, intersect_all,
                        is_bounded, min_semiaxis, support_value,
@@ -223,14 +222,14 @@ def _inner(settings: SolverSettings) -> SolverSettings:
 def _support(L: Union[Ellipsoid, HPolytope], a: np.ndarray) -> float:
     if isinstance(L, Ellipsoid):
         return support_value(L, a)
-    res = linprog(-a, A_ub=L.A, b_ub=L.b, bounds=[(None, None)] * L.dim,
-                  method="highs")
-    if res.status == 3:
+    free = np.full(L.dim, np.inf)
+    status, _, fun = _lp(-a, L.A, L.b, -free, free)
+    if status == 3:
         raise Unbounded("support LP unbounded; Minkowski difference needs a "
                         "bounded subtrahend")
-    if res.status != 0:
-        raise InstanceError("support LP failed")
-    return float(-res.fun)
+    if status != 0:  # L is a validated member, so this is numerical
+        raise Unbounded(f"support LP did not solve (status {status})")
+    return float(-fun)
 
 
 def minkowski_difference(P: HPolytope,

@@ -219,14 +219,12 @@ def test_has_interior_detects_degenerate_slab():
 def test_has_interior_raises_when_chebyshev_lp_fails(monkeypatch):
     # The Chebyshev LP caps the radius, so it always has an optimum; a status
     # other than 0 is a solver failure, not evidence of an interior.
-    linprog = geometry.linprog
+    lp = geometry._lp
 
-    def failed(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        res.status = 4
-        return res
+    def failed(*args):
+        return (4,) + lp(*args)[1:]
 
-    monkeypatch.setattr(geometry, "linprog", failed)
+    monkeypatch.setattr(geometry, "_lp", failed)
     with pytest.raises(Unbounded):
         has_interior(HPolytope.box([1.0, 1.0]))
 

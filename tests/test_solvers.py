@@ -426,13 +426,13 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
     polytopes = [bounded_random_polytope(rng, d) for _ in range(3)]
     target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
     calls = []
-    linprog = geometry.linprog
+    lp = geometry._lp
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return lp(*args)
 
-    monkeypatch.setattr(geometry, "linprog", counted)
+    monkeypatch.setattr(geometry, "_lp", counted)
 
     def count(solve):
         calls.clear()
