@@ -354,18 +354,25 @@ def _lp(c, A, b, lb, ub):
 
 
 def is_bounded(P: HPolytope) -> bool:
-    """Boundedness via 2d LPs: max of +/- x_i all finite (empty counts as bounded)."""
+    """True iff the recession cone {y : A y <= 0} is {0}, decided by 2d LPs:
+    max +/- y_i over the cone cut by the box |y_i| <= 1.  Each LP is feasible
+    (y = 0) and bounded; a nonzero cone direction scaled to the box gives
+    some optimum 1, and the cone {0} gives every optimum 0.  A nonempty P is
+    bounded iff its cone is {0}; an empty P is judged by its cone as well.
+    An LP that does not solve raises Unbounded, as in ``chebyshev_center``.
+    """
     d = P.dim
-    lb, ub = np.full(d, -np.inf), np.full(d, np.inf)
+    zeros, box = np.zeros(P.n_constraints), np.ones(d)
     for i in range(d):
         for sign in (1.0, -1.0):
             c = np.zeros(d)
-            c[i] = -sign  # maximize sign * x_i
-            status, _, _ = _lp(c, P.A, P.b, lb, ub)
-            if status == 3:
+            c[i] = -sign  # maximize sign * y_i
+            status, _, fun = _lp(c, P.A, zeros, -box, box)
+            if status != 0:
+                raise Unbounded(f"boundedness LP did not solve (status "
+                                f"{status})")
+            if -fun > 0.5:
                 return False
-            if status == 2:  # empty set
-                return True
     return True
 
 

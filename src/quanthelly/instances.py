@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import Optional, Union
 
@@ -172,8 +173,15 @@ class GeneratorSpec:
                              "nested-boxes", "adversarial"):
             raise InstanceError(f"unknown generator kind '{self.kind}'")
         if self.dimension < 1 or self.class_count < 1 \
-                or self.members_per_class < 1 or self.target_volume <= 0:
+                or self.members_per_class < 1:
             raise InstanceError("invalid generator parameters")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InstanceError(f"seed must be a non-negative integer, "
+                                f"got {self.seed!r}")
+        if not (math.isfinite(self.target_volume)
+                and self.target_volume > 0.0):
+            raise InstanceError(f"target volume must be positive and finite, "
+                                f"got {self.target_volume}")
 
 
 def _ball_radius(target_volume: float, d: int) -> float:

@@ -8,6 +8,14 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+# The rows and offsets of an unbounded 3-D body with an interior (its
+# Chebyshev margin reaches the 1e6 cap).  With presolve on, HiGHS reports the
+# LP max x_0 over it infeasible rather than unbounded.
+PRESOLVE_QUIRK_BODY = ([[-0.68, 0.18, 0.03], [0.15, -1.7, -1.01],
+                        [-0.39, -1.0, -0.92], [-0.13, -0.54, -0.33]],
+                       [-0.87, 0.23, 0.81, -2.04])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)

@@ -13,6 +13,8 @@ from quanthelly.errors import (DegenerateInput, DimensionMismatch,
                                HypothesisViolated, InstanceError,
                                QuantHellyError)
 
+from conftest import PRESOLVE_QUIRK_BODY
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -151,6 +153,20 @@ def test_input_errors_exit_4(tmp_path):
     assert "input error" in out
 
 
+def test_unbounded_member_with_interior_exit_4(tmp_path):
+    # Presolve calls one boundedness LP of this body infeasible; the body is
+    # still rejected at parse time, before any solve.
+    rows, offsets = PRESOLVE_QUIRK_BODY
+    doc = {"dimension": 3, "target_volume": 1.0, "classes": [[[
+        {"a": a, "b": b} for a, b in zip(rows, offsets)]]]}
+    path = tmp_path / "quirk.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["mvie", str(path), "--class", "0", "--member", "0",
+                         "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_INPUT
+    assert "class 0 member 0 is unbounded" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["mvie", "--member", "5"], ["mvie", "--class", "7"],
     ["mvie", "--member", "-1"], ["mvie", "--class", "-1"],
@@ -233,6 +249,20 @@ def test_generate_subcommand_deterministic(tmp_path):
     code, _ = run_cli(["verify-hypothesis", str(p1), "--k", "2",
                        "--out", "/dev/null"])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--target", "nan"), ("--target", "inf"),
+])
+def test_generate_rejects_bad_seed_or_target_exit_4(tmp_path, flag, value):
+    out = tmp_path / "g.json"
+    options = {"--kind": "common-ball", "--seed": "7", "--out": str(out)}
+    options[flag] = value
+    code, text = run_cli(["generate"] + [t for kv in options.items()
+                                         for t in kv])
+    assert code == EXIT_INPUT
+    assert "input error" in text
+    assert not out.exists()
 
 
 def test_version_flag_exits_zero():

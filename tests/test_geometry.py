@@ -17,7 +17,7 @@ from quanthelly.geometry import (NORM_TOL, chebyshev_center, intersect_all,
 
 from _oracles import sample_ellipsoid_points, support_oracle
 
-from conftest import bounded_random_polytope
+from conftest import PRESOLVE_QUIRK_BODY, bounded_random_polytope
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,18 @@ def test_is_bounded():
     assert is_bounded(HPolytope.box([1.0, 1.0]))
     half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert not is_bounded(half)
+
+
+def test_is_bounded_when_presolve_calls_the_lp_infeasible():
+    P = HPolytope(*PRESOLVE_QUIRK_BODY)
+    assert chebyshev_center(P)[1] == 1e6
+    assert not is_bounded(P)
+
+
+def test_is_bounded_judges_an_empty_polytope_by_its_recession_cone():
+    # both are empty (x_0 <= 0 and x_0 >= 1); the slab in R^2 recedes along x_1
+    assert is_bounded(HPolytope([[1.0], [-1.0]], [0.0, -1.0]))
+    assert not is_bounded(HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0]))
 
 
 def test_chebyshev_center_of_box():

@@ -10,11 +10,9 @@ from quanthelly.helly import (colorful_selections, minkowski_difference,
                               selection_intersection)
 from quanthelly.instances import GeneratorSpec, generate
 
-# An unbounded body with an interior (its Chebyshev margin reaches the 1e6
-# cap) on which presolve reports the LP max x_0 infeasible, not unbounded.
-REPRO = HPolytope([[-0.68, 0.18, 0.03], [0.15, -1.7, -1.01],
-                   [-0.39, -1.0, -0.92], [-0.13, -0.54, -0.33]],
-                  [-0.87, 0.23, 0.81, -2.04])
+from conftest import PRESOLVE_QUIRK_BODY
+
+QUIRK = HPolytope(*PRESOLVE_QUIRK_BODY)
 
 
 def _free(n):
@@ -66,7 +64,7 @@ def _corpus(monkeypatch):
     half = HPolytope([[1.0, 0.0]], [1.0])
     lps.append((np.array([1.0, 0.0]), empty.A, empty.b) + _free(2))
     lps.append((np.array([-1.0, 0.0]), half.A, half.b) + _free(2))
-    return lps + _old_bounded_lps(REPRO)
+    return lps + _old_bounded_lps(QUIRK)
 
 
 def _linprog(c, A, b, lb, ub):
@@ -90,7 +88,7 @@ def test_lp_matches_linprog_bitwise(corpus):
     expected = [_bits(_linprog(*lp)) for lp in corpus]
     statuses = [status for status, _, _ in expected]
     assert {0, 2, 3} <= set(statuses)
-    assert statuses[-2 * REPRO.dim] == 2  # presolve's quirk on REPRO
+    assert statuses[-2 * QUIRK.dim] == 2  # presolve's quirk: max x_0, QUIRK
     assert [_bits(geometry._lp(*lp)) for lp in corpus] == expected
     # each HiGHS object is reused across LPs; the order must not matter
     assert [_bits(geometry._lp(*lp)) for lp in corpus[::-1]] \
