@@ -6,8 +6,8 @@
     diff digests.txt other.txt
 
 Runs ``mvie``, ``lowest``, ``verify-hypothesis`` (at the instance's class
-count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on three
-input sets, generated here from fixed seeds:
+count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on four
+input sets, written here from fixed seeds or fixed data:
 
 * the five criterion-10 fixtures of ``tests/test_acceptance.py``;
 * one adversarial instance, whose hypothesis fails at k=4, with the pipelines
@@ -15,7 +15,11 @@ input sets, generated here from fixed seeds:
 * three instances of each benchmark workload's generator spec
   (``perfbench/workloads.py``).  At d=3, ``run theorem1`` and ``run saxuso``
   are left out: their 6-selection sweeps hold 377-1002 selections per
-  instance and would take most of the run time.
+  instance and would take most of the run time;
+* one instance of five copies of a box whose MVIE volume lies 5.2e-7 below
+  the target, within the relative slack of 1e-6 by which a volume reaches
+  its target (``near-target``), so that the hypothesis check and the
+  lowest-ellipsoid stages must apply the same volume rule.
 
 Each input first prints one line with the sha256 of its emitted instance
 text and of that text parsed and emitted again.  Each invocation then prints
@@ -63,6 +67,10 @@ WORKLOAD_SEEDS = (1, 2, 3)
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
 # fails after 44 of the d=2 problems and 7 of the d=3 ones, in both solvers
 FAILING_BUDGET = 64
+_W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.2e-7
+NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
+    {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
+    {"a": [0.0, 1.0], "b": _W}, {"a": [0.0, -1.0], "b": _W}]]] * 5}
 
 
 def _without_wall_time(obj):
@@ -206,16 +214,21 @@ def main(argv=None) -> int:
     inputs += [(f"{name}-s{seed}", GeneratorSpec(kind, seed, d, nc, mm), False)
                for name, kind, d, nc, mm in WORKLOAD_SPECS
                for seed in WORKLOAD_SEEDS]
+    inputs.append(("near-target", NEAR_TARGET, False))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for label, spec, adversarial in inputs:
-            inst = generate(spec)
             path = tmp / f"{label}.json"
+            if isinstance(spec, dict):      # an instance document as is
+                path.write_text(json.dumps(spec))
+                inst = parse_instance(path)
+            else:
+                inst = generate(spec)
             text = emit_instance(inst, path)
             again = emit_instance(parse_instance(path))
             print(f"{label} instance: emit={_sha(text.encode())} "
                   f"roundtrip={_sha(again.encode())}", flush=True)
-            for cmd in _commands(spec.dimension, adversarial):
+            for cmd in _commands(inst.dimension, adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]
                 line = _invoke(cli_main, argv, tmp / "report.json")

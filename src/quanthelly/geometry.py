@@ -209,6 +209,10 @@ def ellipsoid_in_polytope(E: Ellipsoid, P: HPolytope, tol: float = 1e-9) -> bool
     return bool(np.all(sup <= P.b + tol))
 
 
+# Two solves of one ellipsoid agree when their ``ellipsoid_gap`` is at most this.
+AGREEMENT_TOL = 1e-5
+
+
 def ellipsoid_gap(E1: Ellipsoid, E2: Ellipsoid) -> float:
     """Distance of two ellipsoids: the larger of the Frobenius distance of
     their shapes and the distance of their centers."""

@@ -22,17 +22,15 @@ import numpy as np
 from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
                      InstanceError, NormalizationFailed, NoWitness,
                      Step3Failed, Unbounded, WitnessContainmentFailed)
-from .geometry import (AffineMap, Ellipsoid, HPolytope, _lp, chebyshev_center,
-                       ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_height,
-                       ellipsoid_volume, has_interior, intersect_all,
-                       is_bounded, min_semiaxis, support_value,
-                       transform_ellipsoid, transform_polytope)
+from .geometry import (AGREEMENT_TOL, AffineMap, Ellipsoid, HPolytope, _lp,
+                       chebyshev_center, ellipsoid_gap, ellipsoid_in_polytope,
+                       ellipsoid_height, ellipsoid_volume, has_interior,
+                       intersect_all, is_bounded, min_semiaxis,
+                       polytope_slacks, transform_ellipsoid,
+                       transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid_batch,
-                      mvie_batch, single_outcome, slice_below)
+                      mvie_batch, reaches_target, single_outcome, slice_below)
 
-# How closely two ellipsoids must agree (max of shape Frobenius distance and
-# center distance) to count as equal in the drop-one-body comparison.
-_STEP3_TOL = 1e-5
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
 _RADIUS_SHRINK = 1e-6
@@ -219,9 +217,7 @@ def _inner(settings: SolverSettings) -> SolverSettings:
 # Minkowski difference and translate search
 
 
-def _support(L: Union[Ellipsoid, HPolytope], a: np.ndarray) -> float:
-    if isinstance(L, Ellipsoid):
-        return support_value(L, a)
+def _support(L: HPolytope, a: np.ndarray) -> float:
     free = np.full(L.dim, np.inf)
     status, _, fun = _lp(-a, L.A, L.b, -free, free)
     if status == 3:
@@ -238,10 +234,8 @@ def minkowski_difference(P: HPolytope,
     if P.dim != L.dim:
         raise DimensionMismatch("Minkowski difference dimension mismatch")
     if isinstance(L, Ellipsoid):
-        shrink = P.A @ L.center + np.linalg.norm(P.A @ L.shape, axis=1)
-    else:
-        shrink = np.array([_support(L, a) for a in P.A])
-    return HPolytope(P.A, P.b - shrink)
+        return HPolytope(P.A, polytope_slacks(L, P))
+    return HPolytope(P.A, P.b - np.array([_support(L, a) for a in P.A]))
 
 
 def translate_margin(P: HPolytope, L: Union[Ellipsoid, HPolytope]):
@@ -289,7 +283,8 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
                                ) -> HypothesisReport:
     """Checks every colorful k-selection's intersection for an inscribed
     ellipsoid of the target volume and reports the first failure in
-    lexicographic order.
+    lexicographic order.  A selection passes when its MVIE volume reaches the
+    target (``reaches_target``, the test the lowest ellipsoid applies).
 
     The start-point LPs run in selection order and stop at the first empty
     intersection; the selections before it are solved as one batch and
@@ -307,7 +302,7 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
         vol = out.volume
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
-        if vol < target_volume * (1.0 - 1e-6):
+        if not reaches_target(vol, target_volume):
             return HypothesisReport(
                 False, total, min_volume, min_sel, sel,
                 f"ellipsoid volume {vol:.12g} below target {target_volume:.12g}")
@@ -352,11 +347,7 @@ def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
     selection of d+1 sets contains a translate of L), a witness class exists;
     NoWitness therefore signals a hypothesis violation or tolerance breakdown.
     """
-    d = classes.dim
-    if classes.n_classes != d + 1:
-        raise InstanceError(
-            f"translate witness search needs exactly {d + 1} classes, "
-            f"got {classes.n_classes}")
+    _require_classes(classes, classes.dim + 1, "translate witness search")
     margins = []
     for j in range(classes.n_classes):
         Pj = intersect_all(classes.classes[j])
@@ -424,7 +415,7 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
                                                       inner))
         gap = ellipsoid_gap(out_j.ellipsoid, e_max)
         gaps.append(gap)
-        if gap <= _STEP3_TOL:
+        if gap <= AGREEMENT_TOL:
             witness = sel_max.picks[pos][0]
             break
     if witness is None:
@@ -500,7 +491,7 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     m_out = single_outcome(mvie_batch([M], inner))
     ball = Ellipsoid.unit_ball(d)
     m_gap = ellipsoid_gap(m_out.ellipsoid, ball)
-    if m_gap > _STEP3_TOL:
+    if m_gap > AGREEMENT_TOL:
         raise NormalizationFailed(
             f"MVIE of the cut body is not the unit ball (gap {m_gap:.3e})")
 

@@ -175,9 +175,11 @@ class GeneratorSpec:
         if self.dimension < 1 or self.class_count < 1 \
                 or self.members_per_class < 1:
             raise InstanceError("invalid generator parameters")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InstanceError(f"seed must be a non-negative integer, "
-                                f"got {self.seed!r}")
+        for name, value in (("seed", self.seed),
+                            ("halfspaces per body", self.halfspaces_per_body)):
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise InstanceError(f"{name} must be a non-negative integer, "
+                                    f"got {value!r}")
         if not (math.isfinite(self.target_volume)
                 and self.target_volume > 0.0):
             raise InstanceError(f"target volume must be positive and finite, "

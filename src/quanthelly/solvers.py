@@ -25,9 +25,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
                      MaxIterations, Unbounded, VolumeInfeasible)
-from .geometry import (ACTIVE_SLACK_TOL, Ellipsoid, HPolytope,
-                       chebyshev_center, ellipsoid_gap, ellipsoid_volume,
-                       is_bounded, unit_ball_volume)
+from .geometry import (ACTIVE_SLACK_TOL, AGREEMENT_TOL, Ellipsoid, HPolytope,
+                       chebyshev_center, ellipsoid_gap, ellipsoid_height,
+                       ellipsoid_volume, is_bounded, unit_ball_volume)
 
 # Duality-gap target for the barrier path; well below the volume-gap contract.
 _GAP_TARGET = 1e-8
@@ -35,6 +35,8 @@ _GAP_TARGET = 1e-8
 _CENTER_TOL = 1e-9
 # Factor by which the barrier parameter t grows between centerings.
 _T_GROWTH = 10.0
+# Relative shortfall a volume may have and still reach its target.
+_VOLUME_SLACK = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +47,8 @@ class SolverSettings:
     and ``lowest_ellipsoid`` check that the polytope is bounded, and
     ``lowest_ellipsoid`` cross-checks its optimum against the MVIE of the
     slab below it; ``mvie_batch`` and ``lowest_ellipsoid_batch`` do neither.
+    ``feasibility_tol`` is a constraint and margin slack; it plays no part in
+    deciding whether a volume reaches its target (``reaches_target``).
     """
 
     feasibility_tol: float = 1e-9
@@ -60,6 +64,12 @@ class SolverSettings:
 
 
 DEFAULT_SETTINGS = SolverSettings()
+
+
+def reaches_target(volume: float, target_volume: float) -> bool:
+    """Whether a volume reaches its target: at least target (1 - 1e-6).  The
+    one test of the hypothesis check and of the lowest ellipsoid."""
+    return volume >= target_volume * (1.0 - _VOLUME_SLACK)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -509,43 +519,31 @@ def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
         t *= _T_GROWTH
 
 
-def _barrier_solve(A, b, objective, B0, c0, settings: SolverSettings):
-    """Follows the barrier path of objective on the stacked problems (A, b)
-    from (B0, c0).  Returns (outcomes, errors): problem i's outcome, whose
-    objective is log det B and whose active set is the near-zero slacks, or
-    None, and the error that stopped it, or None."""
-    prob = _Barrier(A, b, objective)
-    x0 = np.concatenate([prob.sym.coords(B0), c0], axis=1)
-    live, x, cache, kkt, errors = _barrier_path(prob, x0, settings)
-    out = [None] * len(x0)
-    pB = prob.sym.p
-    for j, i in enumerate(live):
-        B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
-        active = tuple(int(k) for k in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-        out[i] = SolveOutcome(Ellipsoid(B, x[j, pB:]), float(logdet),
-                              float(kkt[j]), active)
-    return out, errors
-
-
 def _solve_stacked(polytopes, objective, starts, settings):
     """Barrier solves of objective(d) on each polytope from its start (B0, c0),
     one stack per constraint-matrix shape.  Returns (outcomes, error): the
     outcomes in input order up to the first problem that failed, and that
-    problem's error (None when every problem was solved)."""
+    problem's error (None when every problem was solved).  An outcome's
+    objective is log det B and its active set is the near-zero slacks."""
     out = [None] * len(polytopes)
     errors = [None] * len(polytopes)
     groups = {}
     for i, P in enumerate(polytopes):
         groups.setdefault(P.A.shape, []).append(i)
     for (_, d), idx in groups.items():
-        res, err = _barrier_solve(np.stack([polytopes[i].A for i in idx]),
-                                  np.stack([polytopes[i].b for i in idx]),
-                                  objective(d),
-                                  np.stack([starts[i][0] for i in idx]),
-                                  np.stack([starts[i][1] for i in idx]),
-                                  settings)
-        for i, r, e in zip(idx, res, err):
-            out[i], errors[i] = r, e
+        prob = _Barrier(np.stack([polytopes[i].A for i in idx]),
+                        np.stack([polytopes[i].b for i in idx]), objective(d))
+        B0 = np.stack([starts[i][0] for i in idx])
+        c0 = np.stack([starts[i][1] for i in idx])
+        x0 = np.concatenate([prob.sym.coords(B0), c0], axis=1)
+        live, x, cache, kkt, errs = _barrier_path(prob, x0, settings)
+        for i, e in zip(idx, errs):
+            errors[i] = e
+        for j, k in enumerate(live):
+            B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
+            active = tuple(int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
+            out[idx[k]] = SolveOutcome(Ellipsoid(B, x[j, prob.sym.p:]),
+                                       float(logdet), float(kkt[j]), active)
     for i, e in enumerate(errors):
         if e is not None:
             return out[:i], e
@@ -562,14 +560,6 @@ def single_outcome(batch) -> SolveOutcome:
 
 # ---------------------------------------------------------------------------
 # MVIE
-
-
-def _interior_start(P: HPolytope, settings: SolverSettings):
-    c0, r = chebyshev_center(P)
-    if r <= settings.feasibility_tol:
-        raise EmptyInterior("polytope has empty interior (Chebyshev margin "
-                            f"{r:.3e})")
-    return c0, r
 
 
 def _check_bounded(P: HPolytope):
@@ -592,9 +582,13 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
     solvable, starts, error = [], [], None
     for P in polytopes:
         try:
-            c0, r = _interior_start(P, settings)
-        except (Unbounded, EmptyInterior) as exc:
+            c0, r = chebyshev_center(P)
+        except Unbounded as exc:
             error = exc
+            break
+        if r <= settings.feasibility_tol:
+            error = EmptyInterior("polytope has empty interior (Chebyshev "
+                                  f"margin {r:.3e})")
             break
         solvable.append(P)
         starts.append((0.9 * r * np.eye(P.dim), c0))
@@ -628,10 +622,12 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
 
     The polytopes must be bounded: as in ``mvie_batch`` no boundedness check
     runs, and no outcome is cross-checked against the MVIE of its slab.
-    Returns (outcomes, error) like ``mvie_batch``; every outcome is bitwise
-    the one a batch of one gives.  The height stage runs on the problems
-    before the first failure so far, so an error it finds comes earlier and
-    replaces it.
+    A polytope whose MVIE volume does not reach the target
+    (``reaches_target``, as in the hypothesis check) fails with
+    VolumeInfeasible.  Returns (outcomes, error) like ``mvie_batch``; every
+    outcome is bitwise the one a batch of one gives.  The height stage runs
+    on the problems before the first failure so far, so an error it finds
+    comes earlier and replaces it.
     """
     polytopes = list(polytopes)
     if target_volume <= 0.0:
@@ -641,7 +637,7 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
     lift, starts = [], []
     for i, base in enumerate(out):
         v_max = base.volume
-        if v_max < target_volume * (1.0 - max(1e-7, settings.feasibility_tol)):
+        if not reaches_target(v_max, target_volume):
             out, error = out[:i], VolumeInfeasible(
                 f"MVIE volume {v_max:.12g} below target {target_volume:.12g}")
             break
@@ -665,8 +661,8 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
         out[i] = low
     if failed is not None:
         out, error = out[:lift[len(lifted)]], failed
-    return [SolveOutcome(o.ellipsoid, _height(o.ellipsoid), o.kkt_residual,
-                         o.active_constraints)
+    return [SolveOutcome(o.ellipsoid, ellipsoid_height(o.ellipsoid),
+                         o.kkt_residual, o.active_constraints)
             for o in out], error
 
 
@@ -675,9 +671,10 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
     """Among ellipsoids of the given volume inside P, the one of minimal height.
 
     Raises VolumeInfeasible for a nonpositive target, then Unbounded when P
-    is not bounded, before any solve.  The optimum is also the MVIE of P cut below its own height (the defining
-    property of the lowest ellipsoid); the two routes are compared and a
-    disagreement beyond 1e-5 raises CertificateFailed.
+    is not bounded, before any solve.  The optimum is also the MVIE of P cut
+    below its own height (the defining property of the lowest ellipsoid); the
+    two routes are compared and a gap beyond AGREEMENT_TOL raises
+    CertificateFailed.
     """
     if target_volume <= 0.0:
         raise VolumeInfeasible("target volume must be positive")
@@ -686,14 +683,10 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
     check = single_outcome(mvie_batch([slice_below(P, out.objective)],
                                       settings))
     gap = ellipsoid_gap(check.ellipsoid, out.ellipsoid)
-    if gap > 1e-5:
+    if gap > AGREEMENT_TOL:
         raise CertificateFailed("lowest ellipsoid disagrees with MVIE of the "
                                 f"slab (gap {gap:.3e})")
     return out
-
-
-def _height(E: Ellipsoid) -> float:
-    return float(E.center[-1] + np.linalg.norm(E.shape[:, -1]))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,21 @@ def test_run_colell_hypothesis_violation_exit_2(tmp_path):
     assert "hypothesis violated" in out
 
 
+def test_volume_rule_is_shared_by_hypothesis_and_lowest(tmp_path):
+    # Every selection's MVIE volume is 1 - 5.2e-7: within the hypothesis
+    # check's slack, so the lowest-ellipsoid stages accept it as well.
+    w = 0.5641894425
+    box = [{"a": [1.0, 0.0], "b": w}, {"a": [-1.0, 0.0], "b": w},
+           {"a": [0.0, 1.0], "b": w}, {"a": [0.0, -1.0], "b": w}]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dimension": 2, "target_volume": 1.0,
+                                "classes": [[box]] * 5}))
+    for argv in (["verify-hypothesis", str(path)], ["run", "colell", str(path)],
+                 ["lowest", str(path)]):
+        code, _ = run_cli(argv + ["--out", "/dev/null"])
+        assert code == EXIT_OK, argv
+
+
 def test_run_skip_hypothesis_check_numerical_failure(tmp_path):
     # With the check skipped, the empty-interior selection surfaces as a
     # numerical failure (exit 3) instead of a hypothesis violation.
@@ -253,6 +268,7 @@ def test_generate_subcommand_deterministic(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--seed", "-1"), ("--target", "nan"), ("--target", "inf"),
+    ("--halfspaces", "-1"),
 ])
 def test_generate_rejects_bad_seed_or_target_exit_4(tmp_path, flag, value):
     out = tmp_path / "g.json"

@@ -95,6 +95,14 @@ def test_lp_matches_linprog_bitwise(corpus):
         == expected[::-1]
 
 
+def test_direct_highs_path_is_in_use():
+    # A scipy that renames its private HiGHS module would silently select
+    # the linprog fallback: same bits, about three times the LP cost.
+    import scipy
+    if tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15):
+        assert geometry._highs is not None
+
+
 def test_linprog_fallback_gives_the_same_bits(corpus, monkeypatch):
     direct = [_bits(geometry._lp(*lp)) for lp in corpus]
     monkeypatch.setattr(geometry, "_highs", None)

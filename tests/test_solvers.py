@@ -307,6 +307,36 @@ def test_lowest_volume_infeasible():
         lowest_ellipsoid(HPolytope.box([1.0, 1.0]), 10.0)
     with pytest.raises(VolumeInfeasible):
         lowest_ellipsoid(HPolytope.box([1.0, 1.0]), -1.0)
+    # The hypothesis check's volume rule: an MVIE volume within 1e-6 of the
+    # target reaches it, and the MVIE is then the lowest ellipsoid.
+    box = HPolytope.box([0.5641894425] * 2)     # MVIE volume 1 - 5.0e-7
+    out = lowest_ellipsoid(box, 1.0)
+    E = mvie(box).ellipsoid
+    assert np.array_equal(out.ellipsoid.shape, E.shape)
+    assert np.array_equal(out.ellipsoid.center, E.center)
+    w = math.sqrt((1.0 - 2e-6) / math.pi)        # MVIE volume 1 - 2e-6
+    with pytest.raises(VolumeInfeasible):
+        lowest_ellipsoid(HPolytope.box([w, w]), 1.0)
+
+
+def test_newton_direction_fallback_rows():
+    # A stack whose stacked Cholesky fails is solved row by row: a positive
+    # definite row as in a batch of one, a rank-one row after a jitter
+    # retry, and an indefinite row, whose retries all fail, as zero.
+    rng = np.random.default_rng(3)
+    p = 5
+    M = rng.normal(size=(p, p))
+    v = rng.normal(size=p)
+    H = np.stack([M @ M.T + np.eye(p), np.outer(v, v),
+                  np.diag([1.0, 1.0, 1.0, 1.0, -5.0])])
+    g = rng.normal(size=(3, p))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(H[1])
+    delta = solvers._newton_directions(H, g)
+    alone = solvers._newton_directions(H[:1], g[:1])
+    assert delta[0].tobytes() == alone[0].tobytes()
+    assert np.isfinite(delta[1]).all() and delta[1].any()
+    assert delta[2].tobytes() == np.zeros(p).tobytes()
 
 
 def test_lowest_checks_target_then_boundedness():
