@@ -190,10 +190,9 @@ def support_value(E: Ellipsoid, a: np.ndarray) -> float:
 
 
 def ellipsoid_height(E: Ellipsoid) -> float:
-    """Largest orthogonal projection of E on the last coordinate axis."""
-    e_d = np.zeros(E.dim)
-    e_d[-1] = 1.0
-    return support_value(E, e_d)
+    """Largest orthogonal projection of E on the last coordinate axis: the
+    support value in direction e_d, c_d + |B e_d|."""
+    return float(E.center[-1] + np.linalg.norm(E.shape[:, -1]))
 
 
 def min_semiaxis(E: Ellipsoid) -> float:

@@ -1,6 +1,7 @@
 """The one LP function, geometry._lp, against scipy's linprog, bit for bit."""
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import linprog
 
 from quanthelly import HPolytope, geometry, helly, is_bounded
@@ -98,7 +99,6 @@ def test_lp_matches_linprog_bitwise(corpus):
 def test_direct_highs_path_is_in_use():
     # A scipy that renames its private HiGHS module would silently select
     # the linprog fallback: same bits, about three times the LP cost.
-    import scipy
     if tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15):
         assert geometry._highs is not None
 
