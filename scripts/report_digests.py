@@ -16,7 +16,7 @@ input sets, written here from fixed seeds or fixed data:
   (``perfbench/workloads.py``).  At d=3, ``run theorem1`` and ``run saxuso``
   are left out: their 6-selection sweeps hold 377-1002 selections per
   instance and would take most of the run time;
-* one instance of five copies of a box whose MVIE volume lies 5.2e-7 below
+* one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
   lowest-ellipsoid stages must apply the same volume rule.
@@ -67,7 +67,7 @@ WORKLOAD_SEEDS = (1, 2, 3)
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
 # fails after 44 of the d=2 problems and 7 of the d=3 ones, in both solvers
 FAILING_BUDGET = 64
-_W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.2e-7
+_W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.0e-7
 NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
     {"a": [0.0, 1.0], "b": _W}, {"a": [0.0, -1.0], "b": _W}]]] * 5}

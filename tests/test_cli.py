@@ -111,7 +111,7 @@ def test_run_colell_hypothesis_violation_exit_2(tmp_path):
 
 
 def test_volume_rule_is_shared_by_hypothesis_and_lowest(tmp_path):
-    # Every selection's MVIE volume is 1 - 5.2e-7: within the hypothesis
+    # Every selection's MVIE volume is about 1 - 5e-7: within the hypothesis
     # check's slack, so the lowest-ellipsoid stages accept it as well.
     w = 0.5641894425
     box = [{"a": [1.0, 0.0], "b": w}, {"a": [-1.0, 0.0], "b": w},

@@ -309,7 +309,7 @@ def test_lowest_volume_infeasible():
         lowest_ellipsoid(HPolytope.box([1.0, 1.0]), -1.0)
     # The hypothesis check's volume rule: an MVIE volume within 1e-6 of the
     # target reaches it, and the MVIE is then the lowest ellipsoid.
-    box = HPolytope.box([0.5641894425] * 2)     # MVIE volume 1 - 5.0e-7
+    box = HPolytope.box([0.5641894425] * 2)     # MVIE volume 1 - 5e-7
     out = lowest_ellipsoid(box, 1.0)
     E = mvie(box).ellipsoid
     assert np.array_equal(out.ellipsoid.shape, E.shape)
