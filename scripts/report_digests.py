@@ -27,7 +27,10 @@ one line: its label, the exit code, the sha256 of the report with every
 ``wall_time`` key removed ("-" when no report was written) and the sha256 of
 its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
-``wall_time``, print identical files.
+``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
+``run colell`` or ``run saxuso`` line is followed by a ``work`` line with the
+number of LPs the invocation solved (parsing included), so that a change in
+the work a pipeline does shows beside reports that do not move.
 
 Reports round to 12 significant digits, so a last section digests the
 solvers' bits: ``mvie_batch`` and ``lowest_ellipsoid_batch`` over two fixed
@@ -62,6 +65,9 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
                   ("colell-d3", "common-ball", 3, 9, 2),
                   ("ell-d2", "tangent-halfspaces", 2, 6, 2)]
 WORKLOAD_SEEDS = (1, 2, 3)
+# inputs and commands that print a ``work`` line
+WORK_INPUT = "colell-d3-"
+WORK_COMMANDS = (["run", "colell"], ["run", "saxuso"])
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
@@ -203,6 +209,7 @@ def main(argv=None) -> int:
                         "imported from (default: this checkout's src/)")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
+    from quanthelly import geometry
     from quanthelly.cli import main as cli_main
     from quanthelly.instances import (GeneratorSpec, emit_instance, generate,
                                       parse_instance)
@@ -231,8 +238,13 @@ def main(argv=None) -> int:
             for cmd in _commands(inst.dimension, adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]
-                line = _invoke(cli_main, argv, tmp / "report.json")
+                lps = []
+                with _recorded_lps(geometry, lambda *lp: lps.append(lp[0])):
+                    line = _invoke(cli_main, argv, tmp / "report.json")
                 print(f"{label} {' '.join(cmd)}: {line}", flush=True)
+                if label.startswith(WORK_INPUT) and cmd in WORK_COMMANDS:
+                    print(f"{label} {' '.join(cmd)} work: lps={len(lps)}",
+                          flush=True)
     _solver_bits()
     return 0
 

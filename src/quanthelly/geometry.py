@@ -201,11 +201,10 @@ def min_semiaxis(E: Ellipsoid) -> float:
 
 
 def ellipsoid_in_polytope(E: Ellipsoid, P: HPolytope, tol: float = 1e-9) -> bool:
-    """True iff every constraint dominates the corresponding support value."""
+    """True iff every slack (``polytope_slacks``) is at least -tol."""
     if E.dim != P.dim:
         raise DimensionMismatch("ellipsoid/polytope dimension mismatch")
-    sup = P.A @ E.center + np.linalg.norm(P.A @ E.shape, axis=1)
-    return bool(np.all(sup <= P.b + tol))
+    return bool(np.all(polytope_slacks(E, P) >= -tol))
 
 
 # Two solves of one ellipsoid agree when their ``ellipsoid_gap`` is at most this.

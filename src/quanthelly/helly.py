@@ -6,9 +6,11 @@ Every pipeline stage that visits colorful selections runs the one sweep
 to a batched solver (``mvie_batch`` or ``lowest_ellipsoid_batch``) that runs
 the start-point LPs in that order and then solves the whole sweep as stacked
 Newton problems.  Each outcome is bitwise the one a lone solve gives, and the
-first failure in selection order is the one raised.  Ties between selections
-are broken by a deterministic order (height, then center, then shape
-entries), so a report depends only on the instance and settings.
+first failure in selection order is the one raised.  ``colell`` and
+``saxuso`` solve each full selection's MVIE once and start its lowest
+ellipsoid from that outcome.  Ties between selections are broken by a
+deterministic order (height, then center, then shape entries), so a report
+depends only on the instance and settings.
 """
 from __future__ import annotations
 
@@ -28,8 +30,9 @@ from .geometry import (AGREEMENT_TOL, AffineMap, Ellipsoid, HPolytope, _lp,
                        intersect_all, is_bounded, min_semiaxis,
                        polytope_slacks, transform_ellipsoid,
                        transform_polytope)
-from .solvers import (DEFAULT_SETTINGS, SolverSettings, lowest_ellipsoid_batch,
-                      mvie_batch, reaches_target, single_outcome, slice_below)
+from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
+                      lowest_ellipsoid_batch, mvie_batch, reaches_target,
+                      single_outcome, slice_below)
 
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
@@ -183,7 +186,8 @@ def _sweep(classes: ColorClasses, k: int, solve_batch):
     returns (outcomes, error) as ``mvie_batch`` does.  ``mvie_batch`` stops
     iterating at a failing start LP, so the selections past it are never
     enumerated; ``lowest_ellipsoid_batch`` lists its whole input first, so
-    a lowest sweep builds every intersection.  Returns (pairs, failure):
+    a lowest sweep builds every intersection (``_colell`` lifts an MVIE
+    sweep instead).  Returns (pairs, failure):
     the (selection, outcome) pairs before the first failure, and
     (selection, error) of that failure, or None."""
     sels = []
@@ -211,6 +215,12 @@ def _inner(settings: SolverSettings) -> SolverSettings:
     no tighter than 1e-7."""
     return dataclasses.replace(settings,
                                gap_target=max(settings.gap_target, 1e-7))
+
+
+def _mvie_sweep(classes: ColorClasses, k: int, settings: SolverSettings):
+    """The MVIE sweep of the colorful k-selections, at ``_inner`` settings."""
+    inner = _inner(settings)
+    return _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +303,18 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
     (EmptyInterior) is a violation; any other solver error is a numerical
     failure and propagates.
     """
-    inner = _inner(settings)
+    return _hypothesis_report(classes, k, _mvie_sweep(classes, k, settings),
+                              target_volume)
+
+
+def _hypothesis_report(classes: ColorClasses, k: int, sweep,
+                       target_volume: float) -> HypothesisReport:
+    """The hypothesis report of an MVIE sweep of the k-selections: the scan
+    of ``verify_colorful_hypothesis``."""
     total = selection_count(classes, k)
     min_volume = None
     min_sel = None
-    pairs, failure = _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner))
+    pairs, failure = sweep
     for sel, out in pairs:
         vol = out.volume
         if min_volume is None or vol < min_volume:
@@ -322,12 +339,8 @@ def _require_classes(classes: ColorClasses, n: int, what: str):
             f"got {classes.n_classes}")
 
 
-def _require_hypothesis(classes: ColorClasses, k: int, volume: float,
-                        settings: SolverSettings,
-                        what: str) -> HypothesisReport:
-    """The hypothesis report of the k-selections at volume; raises
-    HypothesisViolated when it fails."""
-    rep = verify_colorful_hypothesis(classes, k, volume, settings)
+def _require_hypothesis(rep: HypothesisReport, what: str) -> HypothesisReport:
+    """The hypothesis report; raises HypothesisViolated when it fails."""
     if not rep.passed:
         raise HypothesisViolated(
             f"{what} hypothesis fails: {rep.failure_reason}",
@@ -367,13 +380,10 @@ def _ellipsoid_sort_key(E: Ellipsoid):
     return (ellipsoid_height(E), tuple(E.center), tuple(E.shape.ravel()))
 
 
-def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
-                    inner: SolverSettings):
-    """The lowest ellipsoid of every colorful k-selection as (selection,
-    outcome) pairs, and the pair whose ellipsoid is highest (first on ties)."""
-    outs = _solved(_sweep(classes, k, lambda Ps: lowest_ellipsoid_batch(
-        Ps, target_volume, inner)))
-    return outs, max(outs, key=lambda so: _ellipsoid_sort_key(so[1].ellipsoid))
+def _highest(outs):
+    """The (selection, outcome) pair whose ellipsoid is highest (first on
+    ties)."""
+    return max(outs, key=lambda so: _ellipsoid_sort_key(so[1].ellipsoid))
 
 
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
@@ -392,16 +402,36 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
 
     Steps: take the lowest ellipsoid of every colorful selection, keep the
     highest of them, find the class whose removal leaves that ellipsoid
-    lowest, and certify containment in every member of that class.
+    lowest, and certify containment in every member of that class.  One MVIE
+    sweep of the full selections gives the hypothesis report (when checked)
+    and the starts of their lowest ellipsoids.
     """
     t_start = time.perf_counter()
-    d = classes.dim
-    nc = d * (d + 3) // 2
+    nc = classes.dim * (classes.dim + 3) // 2
     _require_classes(classes, nc, "pipeline")
+    sweep = _mvie_sweep(classes, nc, settings)
     if check_hypothesis:
-        _require_hypothesis(classes, nc, target_volume, settings, "colorful")
+        _require_hypothesis(_hypothesis_report(classes, nc, sweep,
+                                               target_volume), "colorful")
+    return _colell(classes, target_volume, sweep, settings, t_start)
+
+
+def _colell(classes: ColorClasses, target_volume: float, sweep,
+            settings: SolverSettings, t_start: float) -> PipelineReport:
+    """colell after its hypothesis check: the lowest ellipsoids start from
+    the MVIE sweep of the full selections; its error, if any, is raised."""
+    nc = classes.n_classes
     inner = _inner(settings)
-    outs, (sel_max, best) = _highest_lowest(classes, nc, target_volume, inner)
+    pairs, failure = sweep
+    sels = [sel for sel, _ in pairs]
+    lows, error = lift_to_target(
+        [selection_intersection(classes, sel) for sel in sels],
+        ([out for _, out in pairs], None if failure is None else failure[1]),
+        target_volume, inner)
+    if error is not None:
+        raise error
+    outs = list(zip(sels, lows))
+    sel_max, best = _highest(outs)
     e_max = best.ellipsoid
 
     # Drop one body at a time from the defining selection; some class's removal
@@ -452,13 +482,14 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     d = classes.dim
     _require_classes(classes, 3 * d, "pipeline")
     if check_hypothesis:
-        _require_hypothesis(classes, 2 * d, target_volume, settings,
-                            "colorful")
+        _require_hypothesis(verify_colorful_hypothesis(
+            classes, 2 * d, target_volume, settings), "colorful")
     inner = _inner(settings)
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
-    _, (sel_star, best) = _highest_lowest(classes, 2 * d - 1, target_volume,
-                                          inner)
+    sel_star, best = _highest(_solved(_sweep(
+        classes, 2 * d - 1,
+        lambda Ps: lowest_ellipsoid_batch(Ps, target_volume, inner))))
     e_star = best.ellipsoid
 
     # (2) normalize so the chosen ellipsoid becomes the unit ball and its
@@ -542,20 +573,19 @@ def saxuso_scenario(classes: ColorClasses,
                     settings: SolverSettings = DEFAULT_SETTINGS,
                     check_hypothesis: bool = True) -> PipelineReport:
     """d(d+3)/2 classes with 2d-selection hypothesis at volume 1: measure the
-    worst full-selection MVIE volume and run the many-classes pipeline at it.
-    With the hypothesis check skipped, the ``hypothesis_min_volume``
-    certificate is None."""
+    worst full-selection MVIE volume and run the many-classes pipeline at it,
+    without its hypothesis check, from the same MVIE sweep.  With the
+    hypothesis check skipped, the ``hypothesis_min_volume`` certificate is
+    None."""
     t_start = time.perf_counter()
-    d = classes.dim
-    nc = d * (d + 3) // 2
+    nc = classes.dim * (classes.dim + 3) // 2
     _require_classes(classes, nc, "scenario")
-    rep = _require_hypothesis(classes, 2 * d, 1.0, settings,
-                              "2d-selection") if check_hypothesis else None
-    inner = _inner(settings)
-    v = min(out.volume for _, out in _solved(
-        _sweep(classes, nc, lambda Ps: mvie_batch(Ps, inner))))
-    report = colell_pipeline(classes, v * (1.0 - 1e-9), settings,
-                             check_hypothesis=False)
+    rep = _require_hypothesis(verify_colorful_hypothesis(
+        classes, 2 * classes.dim, 1.0, settings),
+        "2d-selection") if check_hypothesis else None
+    sweep = _mvie_sweep(classes, nc, settings)
+    v = min(out.volume for _, out in _solved(sweep))
+    report = _colell(classes, v * (1.0 - 1e-9), sweep, settings, t_start)
     certs = dict(report.certificates, worst_selection_volume=v,
                  hypothesis_min_volume=None if rep is None
                  else rep.min_volume)

@@ -615,25 +615,22 @@ def slice_below(P: HPolytope, tau: float) -> HPolytope:
     return HPolytope(np.vstack([P.A, e_d]), np.append(P.b, tau))
 
 
-def lowest_ellipsoid_batch(polytopes, target_volume: float,
-                           settings: SolverSettings = DEFAULT_SETTINGS):
-    """Lowest ellipsoids of one target volume in a sequence of polytopes,
-    solved as stacks: the MVIEs first, then the height problems.
-
-    The polytopes must be bounded: as in ``mvie_batch`` no boundedness check
-    runs, and no outcome is cross-checked against the MVIE of its slab.
-    A polytope whose MVIE volume does not reach the target
-    (``reaches_target``, as in the hypothesis check) fails with
-    VolumeInfeasible.  Returns (outcomes, error) like ``mvie_batch``; every
-    outcome is bitwise the one a batch of one gives.  The height stage runs
-    on the problems before the first failure so far, so an error it finds
-    comes earlier and replaces it.
+def lift_to_target(polytopes, batch, target_volume: float,
+                   settings: SolverSettings = DEFAULT_SETTINGS):
+    """The height stage of ``lowest_ellipsoid_batch``: lowest ellipsoids of
+    one target volume, started from the MVIEs ``batch`` that ``mvie_batch``
+    returned as (outcomes, error) for ``polytopes`` (of which only the first
+    ``len(outcomes)`` are read).  A nonpositive target fails with
+    VolumeInfeasible unless the batch is empty, and so does a polytope whose
+    MVIE volume does not reach the target (``reaches_target``, as in the
+    hypothesis check).  Returns (outcomes, error) like ``mvie_batch``; the
+    height problems before the first failure so far are solved as stacks,
+    so an error among them comes earlier and replaces it.
     """
-    polytopes = list(polytopes)
+    out, error = batch
     if target_volume <= 0.0:
         return [], (VolumeInfeasible("target volume must be positive")
-                    if polytopes else None)
-    out, error = mvie_batch(polytopes, settings)
+                    if out or error is not None else None)
     lift, starts = [], []
     for i, base in enumerate(out):
         v_max = base.volume
@@ -655,6 +652,7 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
     def height(d):
         return _Height(d, math.log(target_volume / unit_ball_volume(d)))
 
+    out = list(out)
     lifted, failed = _solve_stacked([polytopes[i] for i in lift], height,
                                     starts, settings)
     for i, low in zip(lift, lifted):
@@ -664,6 +662,17 @@ def lowest_ellipsoid_batch(polytopes, target_volume: float,
     return [SolveOutcome(o.ellipsoid, ellipsoid_height(o.ellipsoid),
                          o.kkt_residual, o.active_constraints)
             for o in out], error
+
+
+def lowest_ellipsoid_batch(polytopes, target_volume: float,
+                           settings: SolverSettings = DEFAULT_SETTINGS):
+    """Lowest ellipsoids of one target volume in a sequence of bounded
+    polytopes: ``lift_to_target`` on their ``mvie_batch``.  No outcome is
+    cross-checked against the MVIE of its slab; every outcome is bitwise
+    the one a batch of one gives."""
+    polytopes = list(polytopes)
+    return lift_to_target(polytopes, mvie_batch(polytopes, settings),
+                          target_volume, settings)
 
 
 def lowest_ellipsoid(P: HPolytope, target_volume: float,

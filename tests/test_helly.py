@@ -12,7 +12,7 @@ from quanthelly import (ColorClasses, ColorfulSelection, Ellipsoid, HPolytope,
                         verify_colorful_hypothesis)
 from quanthelly import solvers
 from quanthelly.errors import (HypothesisViolated, InstanceError,
-                               MaxIterations, NoWitness)
+                               MaxIterations, NoWitness, VolumeInfeasible)
 from quanthelly.geometry import chebyshev_center
 from quanthelly.helly import (selection_count, selection_intersection,
                               translate_margin)
@@ -33,6 +33,19 @@ def classes_of_boxes(*halfwidth_lists):
 
 def uniform_classes(body, n):
     return ColorClasses(body.dim, ((body,),) * n)
+
+
+@pytest.fixture
+def start_lps(monkeypatch):
+    """The polytopes of the start-point LPs the batch solvers run, in order."""
+    lps = []
+
+    def counting_center(P):
+        lps.append(P)
+        return chebyshev_center(P)
+
+    monkeypatch.setattr(solvers, "chebyshev_center", counting_center)
+    return lps
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +167,7 @@ def test_hypothesis_fails_and_identifies_selection():
     assert (2, 1) in rep.failure.picks
 
 
-def test_hypothesis_stops_at_first_failure(monkeypatch):
+def test_hypothesis_stops_at_first_failure(start_lps):
     # (a) The report names the first failing selection in lexicographic
     # order, with the minimum over the selections before it; these are the
     # fields of a selection-by-selection check that stops at the failure.
@@ -183,17 +196,11 @@ def test_hypothesis_stops_at_first_failure(monkeypatch):
         [([2.0, 2.0], None)])
     sels = list(colorful_selections(cc, 2))
     j = sels.index(ColorfulSelection(((0, 0), (1, 1))))
-    lps = []
-
-    def counting_center(P):
-        lps.append(P)
-        return chebyshev_center(P)
-
-    monkeypatch.setattr(solvers, "chebyshev_center", counting_center)
+    start_lps.clear()
     rep = verify_colorful_hypothesis(cc, 2, 1.0)
     assert rep.failure == sels[j]
     assert rep.failure_reason.startswith("EmptyInterior")
-    assert len(lps) == j + 1 < len(sels)
+    assert len(start_lps) == j + 1 < len(sels)
 
 
 def test_hypothesis_numerical_failure_propagates():
@@ -319,6 +326,40 @@ def test_colell_thread_determinism():
     d1.pop("wall_time")
     d2.pop("wall_time")
     assert d1 == d2
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("target", [0.0, -1.0])
+def test_colell_rejects_nonpositive_target(target, check):
+    cc = uniform_classes(HPolytope.box([2.0, 2.0]), 5)
+    with pytest.raises(VolumeInfeasible) as exc:
+        colell_pipeline(cc, target, check_hypothesis=check)
+    assert type(exc.value) is VolumeInfeasible
+    assert str(exc.value) == "target volume must be positive"
+
+
+def test_each_full_selection_solved_once(start_lps):
+    # One MVIE sweep of the full selections serves the hypothesis check (or
+    # saxuso's worst volume) and starts the lowest ellipsoids, so each full
+    # selection costs one start LP; each drop-one solve costs one more, and
+    # saxuso's check sweeps the 2d-selections.
+    inst = generate(GeneratorSpec("common-ball", 7, 2, 5, 2))
+    cc = inst.classes
+    full, half = selection_count(cc, 5), selection_count(cc, 4)
+    want = {}
+    for check in (True, False):
+        start_lps.clear()
+        rep = colell_pipeline(cc, inst.target_volume, check_hypothesis=check)
+        gaps = len(rep.certificates["drop_one_gaps"])
+        assert len(start_lps) == full + gaps
+        want["colell", check] = len(start_lps)
+        start_lps.clear()
+        rep = saxuso_scenario(cc, check_hypothesis=check)
+        gaps = len(rep.certificates["drop_one_gaps"])
+        assert len(start_lps) == (half if check else 0) + full + gaps
+        want["saxuso", check] = len(start_lps)
+    assert want == {("colell", True): 10, ("colell", False): 10,
+                    ("saxuso", True): 40, ("saxuso", False): 12}
 
 
 # ---------------------------------------------------------------------------
