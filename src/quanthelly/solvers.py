@@ -627,7 +627,7 @@ def lift_to_target(polytopes, batch, target_volume: float,
     height problems before the first failure so far are solved as stacks,
     so an error among them comes earlier and replaces it.
     """
-    out, error = batch
+    out, error = list(batch[0]), batch[1]
     if target_volume <= 0.0:
         return [], (VolumeInfeasible("target volume must be positive")
                     if out or error is not None else None)
@@ -652,7 +652,6 @@ def lift_to_target(polytopes, batch, target_volume: float,
     def height(d):
         return _Height(d, math.log(target_volume / unit_ball_volume(d)))
 
-    out = list(out)
     lifted, failed = _solve_stacked([polytopes[i] for i in lift], height,
                                     starts, settings)
     for i, low in zip(lift, lifted):
@@ -666,10 +665,11 @@ def lift_to_target(polytopes, batch, target_volume: float,
 
 def lowest_ellipsoid_batch(polytopes, target_volume: float,
                            settings: SolverSettings = DEFAULT_SETTINGS):
-    """Lowest ellipsoids of one target volume in a sequence of bounded
-    polytopes: ``lift_to_target`` on their ``mvie_batch``.  No outcome is
-    cross-checked against the MVIE of its slab; every outcome is bitwise
-    the one a batch of one gives."""
+    """Lowest ellipsoids of one target volume in a sequence of polytopes:
+    ``lift_to_target`` on their ``mvie_batch``.  The polytopes must be
+    bounded (no check runs), and no outcome is cross-checked against the
+    MVIE of its slab; every outcome is bitwise the one a batch of one
+    gives."""
     polytopes = list(polytopes)
     return lift_to_target(polytopes, mvie_batch(polytopes, settings),
                           target_volume, settings)
