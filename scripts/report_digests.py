@@ -28,9 +28,10 @@ one line: its label, the exit code, the sha256 of the report with every
 its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
-``run colell`` or ``run saxuso`` line is followed by a ``work`` line with the
-number of LPs the invocation solved (parsing included), so that a change in
-the work a pipeline does shows beside reports that do not move.
+``run colell`` or ``run saxuso`` line, and on the ``ell-d2`` inputs each
+``run ell`` line, is followed by a ``work`` line with the number of LPs the
+invocation solved (parsing included), so that a change in the work a
+pipeline does shows beside reports that do not move.
 
 Reports round to 12 significant digits, so a last section digests the
 solvers' bits: ``mvie_batch`` and ``lowest_ellipsoid_batch`` over two fixed
@@ -65,9 +66,9 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
                   ("colell-d3", "common-ball", 3, 9, 2),
                   ("ell-d2", "tangent-halfspaces", 2, 6, 2)]
 WORKLOAD_SEEDS = (1, 2, 3)
-# inputs and commands that print a ``work`` line
-WORK_INPUT = "colell-d3-"
-WORK_COMMANDS = (["run", "colell"], ["run", "saxuso"])
+# (input label prefix, command) of the invocations that print a ``work`` line
+WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
+        ("ell-d2-", ["run", "ell"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
@@ -142,7 +143,7 @@ def _recorded_lps(geometry, record):
 
         def recorded(*args):
             out = solve(*args)
-            record(*out)
+            record(*out[:3])  # the row duals, where returned, are not read
             return out
     else:
         name, solve = "linprog", geometry.linprog
@@ -242,7 +243,8 @@ def main(argv=None) -> int:
                 with _recorded_lps(geometry, lambda *lp: lps.append(lp[0])):
                     line = _invoke(cli_main, argv, tmp / "report.json")
                 print(f"{label} {' '.join(cmd)}: {line}", flush=True)
-                if label.startswith(WORK_INPUT) and cmd in WORK_COMMANDS:
+                if any(label.startswith(prefix) and cmd == work
+                       for prefix, work in WORK):
                     print(f"{label} {' '.join(cmd)} work: lps={len(lps)}",
                           flush=True)
     _solver_bits()

@@ -305,17 +305,19 @@ def _solver():
 
 def _lp(c, A, b, lb, ub):
     """min c.x subject to A x <= b and lb <= x <= ub (infinite entries are
-    free), as (status, x, fun) with linprog's status codes; x and fun are
-    None unless HiGHS reports an optimum.
+    free), as (status, x, fun, row_dual) with linprog's status codes; x, fun
+    and the row duals (linprog's ``ineqlin.marginals``, nonpositive at an
+    optimum) are None unless HiGHS reports an optimum.
 
     HiGHS is called directly, with the model, options and post-solve check
-    of linprog(method="highs"), so status, x and fun are bitwise linprog's.
-    Without scipy's private HiGHS module (scipy < 1.15) linprog is called.
+    of linprog(method="highs"), so status, x, fun and row_dual are bitwise
+    linprog's.  Without scipy's private HiGHS module (scipy < 1.15) linprog
+    is called.
     """
     if _highs is None:
         res = linprog(c, A_ub=A, b_ub=b, bounds=np.column_stack([lb, ub]),
                       method="highs")
-        return res.status, res.x, res.fun
+        return res.status, res.x, res.fun, res.ineqlin.marginals
     m, n = A.shape
     lp = _highs.HighsLp()  # kHighsInf is inf, so bounds pass through as is
     lp.num_col_ = n
@@ -337,12 +339,12 @@ def _lp(c, A, b, lb, ub):
     mat.value_ = At[nonzero]
     highs = _solver()
     if highs.passModel(lp) == _highs.HighsStatus.kError:
-        return 2, None, None
+        return 2, None, None, None
     failed = highs.run() == _highs.HighsStatus.kError
     model = highs.getModelStatus()
     status = _LP_STATUS.get(model, 4)
     if failed or model != _MS.kOptimal:  # linprog reads no solution then
-        return (4 if status == 0 else status), None, None
+        return (4 if status == 0 else status), None, None, None
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     fun = highs.getInfo().objective_function_value
@@ -352,16 +354,64 @@ def _lp(c, A, b, lb, ub):
             or not np.all((x >= lb - tol) & (x <= ub + tol))
             or (slack < -tol).any()):
         status = 4
-    return status, x, fun
+    return status, x, fun, np.array(sol.row_dual)
 
 
-def is_bounded(P: HPolytope) -> bool:
+# The Chebyshev LP caps its margin here, so it always has an optimum.
+_MARGIN_CAP = 1e6
+
+
+def _chebyshev(P: HPolytope):
+    """Solves the Chebyshev LP, max r subject to A x + r <= b and r <= the
+    cap, once.  Returns (center, margin, row_dual); raises Unbounded when
+    the LP does not solve."""
+    d = P.dim
+    A = np.hstack([P.A, np.ones((P.n_constraints, 1))])
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    ub = np.full(d + 1, np.inf)
+    ub[-1] = _MARGIN_CAP
+    status, x, _, row_dual = _lp(c, A, P.b, np.full(d + 1, -np.inf), ub)
+    if status != 0:
+        raise Unbounded("Chebyshev LP did not solve; polytope likely unbounded")
+    return x[:d].copy(), float(x[d]), row_dual
+
+
+def _duals_certify_bounded(A: np.ndarray, margin: float,
+                           row_dual: np.ndarray) -> bool:
+    """True when the row duals of the Chebyshev LP (``_chebyshev``) of
+    P = {x : A x <= b} prove that P's recession cone {v : A v <= 0} is {0}.
+
+    Below the cap an optimum's duals y = -row_dual >= 0 satisfy A^T y = 0
+    (stationarity in x).  Let S be the rows with y > 0 and g = A_S^T y_S.
+    For a unit v with A v <= 0,
+    g . v = y_S . (A_S v) <= -min_S y * |A_S v| <= -min_S y * sigma_min(A_S),
+    so |g| >= min_S y * sigma_min(A_S).  The certificate is |S| >= d and
+    sigma_min(A_S) * min_S y > sqrt(|S|) * |g| + a rounding allowance, which
+    with the factor sqrt(|S|) >= 1 covers the error of computing g and
+    sigma_min in floating point.  Degenerate duals (rank A_S < d: an axis
+    box, whose duals sit on the two rows of one axis; a slab) and a margin
+    at the cap certify nothing.
+    """
+    d = A.shape[1]
+    y = -row_dual
+    support = y > 0.0
+    n = int(support.sum())
+    if margin >= _MARGIN_CAP or n < d or (y < 0.0).any():
+        return False
+    A_S, y_S = A[support], y[support]
+    sigma_min = np.linalg.svd(A_S, compute_uv=False)[d - 1]
+    rounding = 16.0 * n * d * np.finfo(float).eps * y_S.sum()
+    return bool(sigma_min * y_S.min()
+                > math.sqrt(n) * np.linalg.norm(y_S @ A_S) + rounding)
+
+
+def _recession_cone_is_zero(P: HPolytope) -> bool:
     """True iff the recession cone {y : A y <= 0} is {0}, decided by 2d LPs:
     max +/- y_i over the cone cut by the box |y_i| <= 1.  Each LP is feasible
     (y = 0) and bounded; a nonzero cone direction scaled to the box gives
-    some optimum 1, and the cone {0} gives every optimum 0.  A nonempty P is
-    bounded iff its cone is {0}; an empty P is judged by its cone as well.
-    An LP that does not solve raises Unbounded, as in ``chebyshev_center``.
+    some optimum 1, and the cone {0} gives every optimum 0.  An LP that does
+    not solve raises Unbounded.
     """
     d = P.dim
     zeros, box = np.zeros(P.n_constraints), np.ones(d)
@@ -369,7 +419,7 @@ def is_bounded(P: HPolytope) -> bool:
         for sign in (1.0, -1.0):
             c = np.zeros(d)
             c[i] = -sign  # maximize sign * y_i
-            status, _, fun = _lp(c, P.A, zeros, -box, box)
+            status, _, fun, _ = _lp(c, P.A, zeros, -box, box)
             if status != 0:
                 raise Unbounded(f"boundedness LP did not solve (status "
                                 f"{status})")
@@ -378,25 +428,47 @@ def is_bounded(P: HPolytope) -> bool:
     return True
 
 
+def _bounded_margin(P: HPolytope):
+    """(bounded, margin): whether P's recession cone is {0}, and P's
+    Chebyshev margin.  The one Chebyshev LP decides both when its duals
+    certify boundedness (``_duals_certify_bounded``); otherwise the 2d
+    recession-cone LPs decide boundedness.  A nonempty P is bounded iff its
+    cone is {0}; an empty P is judged by its cone as well.  When the
+    Chebyshev LP does not solve, an unbounded cone gives (False, None) and
+    a bounded one raises Unbounded; a cone LP that does not solve raises
+    Unbounded.
+    """
+    try:
+        _, margin, row_dual = _chebyshev(P)
+    except Unbounded:
+        if _recession_cone_is_zero(P):
+            raise
+        return False, None
+    return (_duals_certify_bounded(P.A, margin, row_dual)
+            or _recession_cone_is_zero(P)), margin
+
+
+def is_bounded(P: HPolytope) -> bool:
+    """True iff the recession cone {y : A y <= 0} is {0}: the first item of
+    ``_bounded_margin``.  It costs one LP when the Chebyshev LP's duals
+    certify boundedness and 1 + 2d LPs otherwise."""
+    return _bounded_margin(P)[0]
+
+
 def chebyshev_center(P: HPolytope):
     """Returns (point, margin): the point maximizing the minimum slack.
 
     The margin is the radius of the largest inscribed ball (negative when the
     polytope is empty); it is capped at 1e6 so the LP stays bounded.
     """
-    d = P.dim
-    A = np.hstack([P.A, np.ones((P.n_constraints, 1))])
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    ub = np.full(d + 1, np.inf)
-    ub[-1] = 1e6
-    status, x, _ = _lp(c, A, P.b, np.full(d + 1, -np.inf), ub)
-    if status != 0:
-        raise Unbounded("Chebyshev LP did not solve; polytope likely unbounded")
-    return x[:d].copy(), float(x[d])
+    return _chebyshev(P)[:2]
 
 
-def has_interior(P: HPolytope, tol: float = 1e-9) -> bool:
+# A polytope has an interior when its Chebyshev margin exceeds this.
+INTERIOR_TOL = 1e-9
+
+
+def has_interior(P: HPolytope, tol: float = INTERIOR_TOL) -> bool:
     """Strict feasibility: maximum slack margin exceeds tol.  The margin is
     capped, so the LP always has an optimum, and an LP that does not solve
     raises Unbounded as in ``chebyshev_center``."""

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
                      InstanceError, NormalizationFailed, NoWitness,
                      Step3Failed, Unbounded, WitnessContainmentFailed)
-from .geometry import (AGREEMENT_TOL, AffineMap, Ellipsoid, HPolytope, _lp,
-                       chebyshev_center, ellipsoid_gap, ellipsoid_in_polytope,
-                       ellipsoid_height, ellipsoid_volume, has_interior,
-                       intersect_all, is_bounded, min_semiaxis,
+from .geometry import (AGREEMENT_TOL, INTERIOR_TOL, AffineMap, Ellipsoid,
+                       HPolytope, _bounded_margin, _lp, chebyshev_center,
+                       ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_height,
+                       ellipsoid_volume, intersect_all, min_semiaxis,
                        polytope_slacks, transform_ellipsoid,
                        transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
@@ -62,14 +62,20 @@ class ColorClasses:
 
     @classmethod
     def validated(cls, dim, classes) -> "ColorClasses":
-        """Construct and check every member is bounded with nonempty interior."""
+        """Construct and check every member is bounded with nonempty interior
+        (Chebyshev margin above INTERIOR_TOL).  Both come from one Chebyshev
+        LP per member when its duals certify boundedness, and from that LP
+        and the 2d recession-cone LPs otherwise (``_bounded_margin``).  An
+        unbounded member is reported before an empty interior; an LP that
+        does not solve on a bounded member raises Unbounded."""
         obj = cls(dim, classes)
         for ci, members in enumerate(obj.classes):
             for mi, body in enumerate(members):
-                if not is_bounded(body):
+                bounded, margin = _bounded_margin(body)
+                if not bounded:
                     raise InstanceError(
                         f"class {ci} member {mi} is unbounded")
-                if not has_interior(body):
+                if not margin > INTERIOR_TOL:
                     raise InstanceError(
                         f"class {ci} member {mi} has empty interior")
         return obj
@@ -229,7 +235,7 @@ def _mvie_sweep(classes: ColorClasses, k: int, settings: SolverSettings):
 
 def _support(L: HPolytope, a: np.ndarray) -> float:
     free = np.full(L.dim, np.inf)
-    status, _, fun = _lp(-a, L.A, L.b, -free, free)
+    status, _, fun, _ = _lp(-a, L.A, L.b, -free, free)
     if status == 3:
         raise Unbounded("support LP unbounded; Minkowski difference needs a "
                         "bounded subtrahend")

@@ -113,8 +113,10 @@ def _parse_body(raw, d, ci, mi) -> HPolytope:
 def parse_instance(path: Union[str, Path]) -> InstanceFile:
     """Parses and validates an instance file.
 
-    Parsing succeeds iff every body is bounded with non-empty interior;
-    violations are reported with their (class, member) indices.
+    Parsing succeeds iff every body is bounded with non-empty interior
+    (``ColorClasses.validated``: one Chebyshev LP per body when its duals
+    certify boundedness, 1 + 2d LPs otherwise); violations are reported
+    with their (class, member) indices.
     """
     try:
         raw = json.loads(Path(path).read_text())

@@ -598,8 +598,9 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
 
 def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Maximum-volume inscribed ellipsoid of a bounded full-dimensional
-    polytope.  Raises Unbounded, found by 2d LPs before the start LP, when P
-    is not bounded."""
+    polytope.  Raises Unbounded when P is not bounded, found by
+    ``is_bounded`` before the start LP: one Chebyshev LP whose duals certify
+    boundedness, or that LP and 2d recession-cone LPs."""
     _check_bounded(P)
     return single_outcome(mvie_batch([P], settings))
 
@@ -680,10 +681,10 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
     """Among ellipsoids of the given volume inside P, the one of minimal height.
 
     Raises VolumeInfeasible for a nonpositive target, then Unbounded when P
-    is not bounded, before any solve.  The optimum is also the MVIE of P cut
-    below its own height (the defining property of the lowest ellipsoid); the
-    two routes are compared and a gap beyond AGREEMENT_TOL raises
-    CertificateFailed.
+    is not bounded (``is_bounded``, as in ``mvie``), before any solve.  The
+    optimum is also the MVIE of P cut below its own height (the defining
+    property of the lowest ellipsoid); the two routes are compared and a gap
+    beyond AGREEMENT_TOL raises CertificateFailed.
     """
     if target_volume <= 0.0:
         raise VolumeInfeasible("target volume must be positive")

@@ -214,6 +214,82 @@ def test_is_bounded_judges_an_empty_polytope_by_its_recession_cone():
     assert not is_bounded(HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0]))
 
 
+def _bounded_with_fallback_checked(P):
+    """is_bounded(P), required to agree with the 2d recession-cone LPs, which
+    it must run exactly when the Chebyshev LP's duals certify nothing.
+    Returns (bounded, certified)."""
+    cone = geometry._recession_cone_is_zero
+    _, margin, row_dual = geometry._chebyshev(P)
+    certified = geometry._duals_certify_bounded(P.A, margin, row_dual)
+    runs = []
+
+    def counted(Q):
+        runs.append(Q)
+        return cone(Q)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_recession_cone_is_zero", counted)
+        bounded = is_bounded(P)
+    assert bounded == cone(P)
+    assert len(runs) == (0 if certified else 1)
+    return bounded, certified
+
+
+def _wedge(turn):
+    """Normals at angles 0, pi/2 and pi + turn: they positively span R^2 for
+    turn > 0, with the largest angular gap between them pi - turn, and leave
+    the recession cone a ray-thin wedge of angle -turn for turn < 0."""
+    t = math.pi + turn
+    return HPolytope([[1.0, 0.0], [0.0, 1.0], [math.cos(t), math.sin(t)]],
+                     [1.0, 1.0, 1.0])
+
+
+# name: (polytope, bounded, certified by the duals)
+BOUNDEDNESS_FIXTURES = {
+    "box 2x1": (HPolytope.box([2.0, 1.0]), True, False),
+    "slab": (HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]), False, False),
+    "half-plane": (HPolytope([[1.0, 0.0]], [1.0]), False, False),
+    "presolve quirk": (HPolytope(*PRESOLVE_QUIRK_BODY), False, False),
+    "empty, R^1": (HPolytope([[1.0], [-1.0]], [0.0, -1.0]), True, True),
+    "empty, R^2": (HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0]), False,
+                   False),
+    "wedge, spanning by 1e-7": (_wedge(1e-7), True, True),
+    "wedge, missing by 1e-7": (_wedge(-1e-7), False, False),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDEDNESS_FIXTURES)
+def test_dual_certificate_agrees_with_the_cone_lps(name):
+    P, bounded, certified = BOUNDEDNESS_FIXTURES[name]
+    assert _bounded_with_fallback_checked(P) == (bounded, certified)
+
+
+@given(st.integers(2, 4), st.integers(0, 10 ** 6),
+       st.sampled_from(["spanning", "half-space", "half-cylinder"]))
+def test_dual_certificate_agrees_with_the_cone_lps_on_random_polytopes(
+        d, seed, kind):
+    # "spanning": random normals and minus their sum, which positively span
+    # R^d.  Otherwise every normal u has u . w <= 0, so w recedes; a
+    # half-cylinder adds the rows +-p for a basis p of w's complement, which
+    # keeps the Chebyshev margin below its cap.
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(int(rng.integers(d, 3 * d + 1)), d))
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    if kind == "spanning":
+        A = np.vstack([U, -U.sum(axis=0)])
+    else:
+        A = U - 2.0 * np.maximum(U @ w, 0.0)[:, None] * w
+        if kind == "half-cylinder":
+            basis = np.linalg.qr(np.column_stack(
+                [w, rng.normal(size=(d, d - 1))]))[0][:, 1:].T
+            A = np.vstack([A, basis, -basis])
+    z = rng.uniform(-1.0, 1.0, size=d)
+    P = HPolytope(A, A @ z + rng.uniform(0.1, 2.0, size=A.shape[0]))
+    bounded, certified = _bounded_with_fallback_checked(P)
+    assert bounded == (kind == "spanning")
+
+
 def test_chebyshev_center_of_box():
     c, r = chebyshev_center(HPolytope.box([2.0, 1.0]))
     assert np.allclose(c[1], 0.0, atol=1e-9)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from quanthelly import (GeneratorSpec, emit_instance, generate,
-                        parse_instance, unit_ball_volume,
-                        verify_colorful_hypothesis)
-from quanthelly.errors import InstanceError
+from quanthelly import (ColorClasses, GeneratorSpec, HPolytope,
+                        emit_instance, generate, geometry, parse_instance,
+                        unit_ball_volume, verify_colorful_hypothesis)
+from quanthelly.errors import InstanceError, Unbounded
 from quanthelly.instances import (canonical_json, emit_report,
                                   tangent_halfplane_family)
 
@@ -58,6 +58,26 @@ def test_empty_interior_body_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InstanceError, match="empty interior"):
         parse_instance(path)
+
+
+def test_validation_order_and_chebyshev_lp_failure(monkeypatch):
+    # One Chebyshev LP gives both checks; "unbounded" still comes first for
+    # a body that is also empty, and a failed LP raises Unbounded unless the
+    # cone LPs find the body unbounded.
+    box = HPolytope.box([1.0, 1.0])
+    empty_slab = HPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
+    half = HPolytope([[1.0, 0.0]], [1.0])
+    with pytest.raises(InstanceError, match="class 1 member 0 is unbounded"):
+        ColorClasses.validated(2, [[box], [empty_slab]])
+
+    def failed(P):
+        raise Unbounded("Chebyshev LP did not solve")
+
+    monkeypatch.setattr(geometry, "_chebyshev", failed)
+    with pytest.raises(InstanceError, match="class 0 member 0 is unbounded"):
+        ColorClasses.validated(2, [[half]])
+    with pytest.raises(Unbounded):
+        ColorClasses.validated(2, [[box]])
 
 
 def test_invalid_json_and_missing_fields(tmp_path):

@@ -1,4 +1,5 @@
-"""The one LP function, geometry._lp, against scipy's linprog, bit for bit."""
+"""The one LP function, geometry._lp, against scipy's linprog, bit for bit:
+status, solution, objective and row duals."""
 import numpy as np
 import pytest
 import scipy
@@ -58,6 +59,7 @@ def _corpus(monkeypatch):
             chebyshev_center(P)
         for P in members:
             is_bounded(P)
+            geometry._recession_cone_is_zero(P)
         minkowski_difference(sweep[0], members[0])
 
     lps = _recorded(monkeypatch, library)
@@ -71,13 +73,14 @@ def _corpus(monkeypatch):
 def _linprog(c, A, b, lb, ub):
     res = linprog(c, A_ub=A, b_ub=b, bounds=np.column_stack([lb, ub]),
                   method="highs")
-    return res.status, res.x, res.fun
+    return res.status, res.x, res.fun, res.ineqlin.marginals
 
 
 def _bits(out):
-    status, x, fun = out
+    status, x, fun, row_dual = out
     return (int(status), None if x is None else x.tobytes(),
-            None if fun is None else np.float64(fun).tobytes())
+            None if fun is None else np.float64(fun).tobytes(),
+            None if row_dual is None else row_dual.tobytes())
 
 
 @pytest.fixture
@@ -87,8 +90,10 @@ def corpus(monkeypatch):
 
 def test_lp_matches_linprog_bitwise(corpus):
     expected = [_bits(_linprog(*lp)) for lp in corpus]
-    statuses = [status for status, _, _ in expected]
+    statuses = [bits[0] for bits in expected]
     assert {0, 2, 3} <= set(statuses)
+    # the duals are compared too: every optimum carries them
+    assert all(bits[3] is not None for bits in expected if bits[0] == 0)
     assert statuses[-2 * QUIRK.dim] == 2  # presolve's quirk: max x_0, QUIRK
     assert [_bits(geometry._lp(*lp)) for lp in corpus] == expected
     # each HiGHS object is reused across LPs; the order must not matter

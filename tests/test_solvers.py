@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quanthelly import (AffineMap, HPolytope, SolverSettings,
-                        ellipsoid_in_polytope, ellipsoid_volume,
+                        ellipsoid_in_polytope, ellipsoid_volume, is_bounded,
                         lowest_ellipsoid, mvie, polytope_volume_2d,
                         transform_ellipsoid, transform_polytope)
 from quanthelly import geometry, solvers
@@ -450,9 +450,11 @@ def test_lowest_raises_when_slab_mvie_disagrees(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_lp_count_per_entry_point(rng, monkeypatch, d):
-    # The lone solves check boundedness (2d LPs) before their start LP, and
-    # lowest_ellipsoid adds the start LP of its slab cross-check; the batch
-    # solvers run one start LP per polytope and nothing else.
+    # The lone solves check boundedness before their start LP: one Chebyshev
+    # LP whose duals certify it, or that LP and 2d recession-cone LPs when
+    # they do not.  lowest_ellipsoid adds the start LP of its slab
+    # cross-check; the batch solvers run one start LP per polytope and
+    # nothing else.
     polytopes = [bounded_random_polytope(rng, d) for _ in range(3)]
     target = 0.5 * min(o.volume for o in mvie_batch(polytopes)[0])
     calls = []
@@ -471,8 +473,14 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
 
     assert count(lambda: mvie_batch(polytopes)) == 3
     assert count(lambda: lowest_ellipsoid_batch(polytopes, target)) == 3
-    assert count(lambda: mvie(polytopes[0])) == 2 * d + 1
-    assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 2 * d + 2
+    assert count(lambda: mvie(polytopes[0])) == 2
+    assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 3
+    assert count(lambda: is_bounded(polytopes[0])) == 1
+    # a box of unequal half-widths: its optimal duals sit on the two rows of
+    # the narrowest axis, rank 1, and certify nothing
+    box = HPolytope.box(np.arange(d, 0, -1.0))
+    assert count(lambda: is_bounded(box)) == 1 + 2 * d
+    assert count(lambda: mvie(box)) == 2 + 2 * d
 
 
 @pytest.mark.parametrize("field", ["feasibility_tol", "kkt_tol",
