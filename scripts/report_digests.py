@@ -6,7 +6,7 @@
     diff digests.txt other.txt
 
 Runs ``mvie``, ``lowest``, ``verify-hypothesis`` (at the instance's class
-count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on four
+count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on five
 input sets, written here from fixed seeds or fixed data:
 
 * the five criterion-10 fixtures of ``tests/test_acceptance.py``;
@@ -19,7 +19,13 @@ input sets, written here from fixed seeds or fixed data:
 * one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
-  lowest-ellipsoid stages must apply the same volume rule.
+  lowest-ellipsoid stages must apply the same volume rule;
+* two instances with tied selections: ``ties``, whose colell has two full
+  selections at the greatest height bit for bit, also after the instance is
+  emitted and parsed, so that a change in which selection wins a tie shows;
+  and ``theorem1-tie``, whose theorem1 has eight (2d-1)-selections within
+  1e-12 of the greatest height, so that a change in the last bits of their
+  heights shows.
 
 Each input first prints one line with the sha256 of its emitted instance
 text and of that text parsed and emitted again.  Each invocation then prints
@@ -41,9 +47,8 @@ line with the number of outcomes, the error type and the sha256 of the raw
 float64 bytes of every outcome (shape, center, objective, KKT bound) and its
 active set.  Then one ``lp`` line per stack digests its start LPs, the
 Chebyshev-center LP of each polytope: the sha256 of every LP's status and
-the raw float64 bytes of its solution and objective, read wherever the
-checkout calls HiGHS (``geometry._lp``, or scipy's ``linprog`` where the
-package has no such function).
+the raw float64 bytes of its solution and objective, read at the one LP
+call site, ``geometry._lp``.
 """
 import argparse
 import contextlib
@@ -74,6 +79,9 @@ WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
 # fails after 44 of the d=2 problems and 7 of the d=3 ones, in both solvers
 FAILING_BUDGET = 64
+# (label, generator spec) of each instance with tied selections
+TIES = [("ties", ("common-ball", 8, 2, 5, 2)),
+        ("theorem1-tie", ("common-ball", 1365155147, 2, 6, 3))]
 _W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.0e-7
 NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
@@ -138,25 +146,18 @@ def _outcome_digest(outcomes, error) -> str:
 @contextlib.contextmanager
 def _recorded_lps(geometry, record):
     """Calls record(status, x, fun) on every LP that geometry solves."""
-    if hasattr(geometry, "_lp"):
-        name, solve = "_lp", geometry._lp
+    solve = geometry._lp
 
-        def recorded(*args):
-            out = solve(*args)
-            record(*out[:3])  # the row duals, where returned, are not read
-            return out
-    else:
-        name, solve = "linprog", geometry.linprog
+    def recorded(*args):
+        out = solve(*args)
+        record(*out[:3])  # the row duals, where returned, are not read
+        return out
 
-        def recorded(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            record(res.status, res.x, res.fun)
-            return res
-    setattr(geometry, name, recorded)
+    geometry._lp = recorded
     try:
         yield
     finally:
-        setattr(geometry, name, solve)
+        geometry._lp = solve
 
 
 def _lp_digest(stack) -> str:
@@ -223,6 +224,7 @@ def main(argv=None) -> int:
                for name, kind, d, nc, mm in WORKLOAD_SPECS
                for seed in WORKLOAD_SEEDS]
     inputs.append(("near-target", NEAR_TARGET, False))
+    inputs += [(label, GeneratorSpec(*spec), False) for label, spec in TIES]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for label, spec, adversarial in inputs:

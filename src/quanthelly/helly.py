@@ -2,14 +2,14 @@
 verification, and the constructive theorem pipelines.
 
 Every pipeline stage that visits colorful selections runs the one sweep
-``_sweep``: the selections in lexicographic order, their intersections handed
-to a batched solver (``mvie_batch`` or ``lowest_ellipsoid_batch``) that runs
-the start-point LPs in that order and then solves the whole sweep as stacked
-Newton problems.  Each outcome is bitwise the one a lone solve gives, and the
-first failure in selection order is the one raised.  ``colell`` and
-``saxuso`` solve each full selection's MVIE once and start its lowest
-ellipsoid from that outcome.  Ties between selections are broken by a
-deterministic order (height, then center, then shape entries), so a report
+``_sweep``: the selections in lexicographic order, their intersections solved
+by one ``mvie_batch`` that runs the start-point LPs in that order and then
+solves the whole sweep as stacked Newton problems.  Each outcome is bitwise
+the one a lone solve gives, and the first failure in selection order is the
+one raised.  The hypothesis check reads the MVIEs; ``colell``, ``saxuso``
+and theorem1's (2d-1)-selection stage lift them to lowest ellipsoids
+(``_lowest``).  When several lowest ellipsoids reach the greatest height
+exactly, the first selection in order defines the pipeline, so a report
 depends only on the instance and settings.
 """
 from __future__ import annotations
@@ -186,34 +186,52 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
-def _sweep(classes: ColorClasses, k: int, solve_batch):
-    """Solves the colorful k-selections in lexicographic order.
-    ``solve_batch`` receives their intersections as a lazy iterable and
-    returns (outcomes, error) as ``mvie_batch`` does.  ``mvie_batch`` stops
-    iterating at a failing start LP, so the selections past it are never
-    enumerated; ``lowest_ellipsoid_batch`` lists its whole input first, so
-    a lowest sweep builds every intersection (``_colell`` lifts an MVIE
-    sweep instead).  Returns (pairs, failure):
-    the (selection, outcome) pairs before the first failure, and
-    (selection, error) of that failure, or None."""
-    sels = []
+def _sweep(classes: ColorClasses, k: int, settings: SolverSettings,
+           cut: Optional[HPolytope] = None):
+    """The MVIE sweep of the colorful k-selections, the one sweep every
+    pipeline stage runs: their intersections (each cut by ``cut`` when
+    given), in lexicographic order, solved by one ``mvie_batch`` at
+    ``_inner`` settings.  ``mvie_batch`` stops iterating at a failing start
+    LP, so the selections past it are never enumerated.  Returns (solved,
+    failure): the (selection, intersection, outcome) triples before the
+    first failure, and (selection, error) of that failure, or None."""
+    sels, polytopes = [], []
 
     def intersections():
         for sel in colorful_selections(classes, k):
+            P = selection_intersection(classes, sel)
+            if cut is not None:
+                P = intersect_all([P, cut])
             sels.append(sel)
-            yield selection_intersection(classes, sel)
+            polytopes.append(P)
+            yield P
 
-    outcomes, error = solve_batch(intersections())
-    pairs = list(zip(sels, outcomes))
-    return pairs, None if error is None else (sels[len(pairs)], error)
+    outcomes, error = mvie_batch(intersections(), _inner(settings))
+    solved = list(zip(sels, polytopes, outcomes))
+    return solved, None if error is None else (sels[len(solved)], error)
 
 
 def _solved(sweep) -> list:
-    """The pairs of a sweep; raises the error that ends it, if any."""
-    pairs, failure = sweep
+    """The triples of a sweep; raises the error that ends it, if any."""
+    solved, failure = sweep
     if failure is not None:
         raise failure[1]
-    return pairs
+    return solved
+
+
+def _lowest(sweep, target_volume: float, settings: SolverSettings) -> list:
+    """The lowest ellipsoids of the target volume in a sweep's
+    intersections, lifted from their MVIEs (``lift_to_target``), as
+    (selection, outcome) pairs.  Raises the sweep's failure, or the lift's
+    when it comes first in selection order."""
+    solved, failure = sweep
+    lows, error = lift_to_target(
+        [P for _, P, _ in solved],
+        ([out for *_, out in solved], None if failure is None else failure[1]),
+        target_volume, _inner(settings))
+    if error is not None:
+        raise error
+    return [(sel, low) for (sel, *_), low in zip(solved, lows)]
 
 
 def _inner(settings: SolverSettings) -> SolverSettings:
@@ -221,12 +239,6 @@ def _inner(settings: SolverSettings) -> SolverSettings:
     no tighter than 1e-7."""
     return dataclasses.replace(settings,
                                gap_target=max(settings.gap_target, 1e-7))
-
-
-def _mvie_sweep(classes: ColorClasses, k: int, settings: SolverSettings):
-    """The MVIE sweep of the colorful k-selections, at ``_inner`` settings."""
-    inner = _inner(settings)
-    return _sweep(classes, k, lambda Ps: mvie_batch(Ps, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,7 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
     (EmptyInterior) is a violation; any other solver error is a numerical
     failure and propagates.
     """
-    return _hypothesis_report(classes, k, _mvie_sweep(classes, k, settings),
+    return _hypothesis_report(classes, k, _sweep(classes, k, settings),
                               target_volume)
 
 
@@ -320,8 +332,8 @@ def _hypothesis_report(classes: ColorClasses, k: int, sweep,
     total = selection_count(classes, k)
     min_volume = None
     min_sel = None
-    pairs, failure = sweep
-    for sel, out in pairs:
+    solved, failure = sweep
+    for sel, _, out in solved:
         vol = out.volume
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
@@ -382,14 +394,10 @@ def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
 # Pipelines
 
 
-def _ellipsoid_sort_key(E: Ellipsoid):
-    return (ellipsoid_height(E), tuple(E.center), tuple(E.shape.ravel()))
-
-
 def _highest(outs):
-    """The (selection, outcome) pair whose ellipsoid is highest (first on
-    ties)."""
-    return max(outs, key=lambda so: _ellipsoid_sort_key(so[1].ellipsoid))
+    """The (selection, outcome) pair whose ellipsoid is highest; of several
+    at exactly that height, the first in selection order."""
+    return max(outs, key=lambda so: ellipsoid_height(so[1].ellipsoid))
 
 
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
@@ -415,7 +423,7 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
     t_start = time.perf_counter()
     nc = classes.dim * (classes.dim + 3) // 2
     _require_classes(classes, nc, "pipeline")
-    sweep = _mvie_sweep(classes, nc, settings)
+    sweep = _sweep(classes, nc, settings)
     if check_hypothesis:
         _require_hypothesis(_hypothesis_report(classes, nc, sweep,
                                                target_volume), "colorful")
@@ -428,15 +436,7 @@ def _colell(classes: ColorClasses, target_volume: float, sweep,
     the MVIE sweep of the full selections; its error, if any, is raised."""
     nc = classes.n_classes
     inner = _inner(settings)
-    pairs, failure = sweep
-    sels = [sel for sel, _ in pairs]
-    lows, error = lift_to_target(
-        [selection_intersection(classes, sel) for sel in sels],
-        ([out for _, out in pairs], None if failure is None else failure[1]),
-        target_volume, inner)
-    if error is not None:
-        raise error
-    outs = list(zip(sels, lows))
+    outs = _lowest(sweep, target_volume, settings)
     sel_max, best = _highest(outs)
     e_max = best.ellipsoid
 
@@ -490,12 +490,10 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     if check_hypothesis:
         _require_hypothesis(verify_colorful_hypothesis(
             classes, 2 * d, target_volume, settings), "colorful")
-    inner = _inner(settings)
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
-    sel_star, best = _highest(_solved(_sweep(
-        classes, 2 * d - 1,
-        lambda Ps: lowest_ellipsoid_batch(Ps, target_volume, inner))))
+    sel_star, best = _highest(_lowest(_sweep(classes, 2 * d - 1, settings),
+                                      target_volume, settings))
     e_star = best.ellipsoid
 
     # (2) normalize so the chosen ellipsoid becomes the unit ball and its
@@ -525,7 +523,7 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     imgs = [transform_polytope(T, classes.body(ci, mi))
             for ci, mi in sel_star.picks]
     M = slice_below(intersect_all(imgs), 1.0)
-    m_out = single_outcome(mvie_batch([M], inner))
+    m_out = single_outcome(mvie_batch([M], _inner(settings)))
     ball = Ellipsoid.unit_ball(d)
     m_gap = ellipsoid_gap(m_out.ellipsoid, ball)
     if m_gap > AGREEMENT_TOL:
@@ -536,12 +534,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     rem_classes = ColorClasses(
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
-
-    def cut_mvies(Ps):
-        return mvie_batch((intersect_all([P, M]) for P in Ps), inner)
-
-    minima = [min_semiaxis(out.ellipsoid)
-              for _, out in _solved(_sweep(rem_classes, d + 1, cut_mvies))]
+    minima = [min_semiaxis(out.ellipsoid) for *_, out in
+              _solved(_sweep(rem_classes, d + 1, settings, cut=M))]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",
@@ -589,8 +583,8 @@ def saxuso_scenario(classes: ColorClasses,
     rep = _require_hypothesis(verify_colorful_hypothesis(
         classes, 2 * classes.dim, 1.0, settings),
         "2d-selection") if check_hypothesis else None
-    sweep = _mvie_sweep(classes, nc, settings)
-    v = min(out.volume for _, out in _solved(sweep))
+    sweep = _sweep(classes, nc, settings)
+    v = min(out.volume for *_, out in _solved(sweep))
     report = _colell(classes, v * (1.0 - 1e-9), sweep, settings, t_start)
     certs = dict(report.certificates, worst_selection_volume=v,
                  hypothesis_min_volume=None if rep is None

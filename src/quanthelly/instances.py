@@ -197,15 +197,15 @@ def _unit_vectors(rng, n, d):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _common_ball_body(rng, d, z, r, k, slack_scale) -> HPolytope:
+def _ball_body(rng, d, z, r, k, offsets) -> HPolytope:
+    """The axis box of half-width max|z| + r + 1 cut by k half-spaces with
+    random unit normals U, drawn from rng; their offsets are
+    ``offsets(rng, U @ z)``, drawn after U."""
     R = float(np.max(np.abs(z)) + r + 1.0)
-    A = [np.vstack([np.eye(d), -np.eye(d)])]
-    b = [np.full(2 * d, R)]
     U = _unit_vectors(rng, k, d)
-    extra = rng.exponential(slack_scale, size=k)
-    A.append(U)
-    b.append(U @ z + r + extra)
-    return HPolytope(np.vstack(A), np.concatenate(b))
+    A = np.vstack([np.eye(d), -np.eye(d), U])
+    b = np.concatenate([np.full(2 * d, R), offsets(rng, U @ z)])
+    return HPolytope(A, b)
 
 
 def _tangent_body(rng, d, z, r, k) -> HPolytope:
@@ -230,19 +230,20 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
     d = spec.dimension
     r = _ball_radius(spec.target_volume, d)
 
+    k = spec.halfspaces_per_body
     if spec.kind == "common-ball":
         z = rng.uniform(-0.5, 0.5, size=d)
         sizes = _class_sizes(rng, spec)
         classes = tuple(
-            tuple(_common_ball_body(rng, d, z, r, spec.halfspaces_per_body,
-                                    0.5)
+            tuple(_ball_body(rng, d, z, r, k, lambda rng, h:
+                             h + r + rng.exponential(0.5, size=k))
                   for _ in range(sizes[ci]))
             for ci in range(spec.class_count))
     elif spec.kind == "tangent-halfspaces":
         z = rng.uniform(-0.25, 0.25, size=d)
         sizes = _class_sizes(rng, spec)
         classes = tuple(
-            tuple(_tangent_body(rng, d, z, r, spec.halfspaces_per_body)
+            tuple(_tangent_body(rng, d, z, r, k)
                   for _ in range(sizes[ci]))
             for ci in range(spec.class_count))
     elif spec.kind == "nested-boxes":
@@ -256,25 +257,17 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
                        np.full(2 * d, widths[ci])),)
             for ci in range(n))
     else:  # adversarial
-        k = spec.check_k or 2 * d
+        check_k = spec.check_k or 2 * d
         for _ in range(_RETRY_BUDGET):
             z = rng.uniform(-0.5, 0.5, size=d)
             sizes = _class_sizes(rng, spec)
-            classes = []
-            for ci in range(spec.class_count):
-                members = []
-                for _ in range(sizes[ci]):
-                    R = float(np.max(np.abs(z)) + r + 1.0)
-                    U = _unit_vectors(rng, spec.halfspaces_per_body, d)
-                    offs = U @ z + r * rng.uniform(0.1, 1.2,
-                                                   spec.halfspaces_per_body)
-                    A = np.vstack([np.eye(d), -np.eye(d), U])
-                    b = np.concatenate([np.full(2 * d, R), offs])
-                    members.append(HPolytope(A, b))
-                classes.append(tuple(members))
-            cc = ColorClasses(d, tuple(classes))
-            rep = verify_colorful_hypothesis(cc, min(k, spec.class_count),
-                                             spec.target_volume)
+            cc = ColorClasses(d, tuple(
+                tuple(_ball_body(rng, d, z, r, k, lambda rng, h:
+                                 h + r * rng.uniform(0.1, 1.2, k))
+                      for _ in range(sizes[ci]))
+                for ci in range(spec.class_count)))
+            rep = verify_colorful_hypothesis(
+                cc, min(check_k, spec.class_count), spec.target_volume)
             if not rep.passed:
                 return InstanceFile(d, spec.target_volume, cc)
         raise InstanceError(

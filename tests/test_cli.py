@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from quanthelly import GeneratorSpec, emit_instance, generate
+from quanthelly import (GeneratorSpec, emit_instance, generate,
+                        parse_instance, theorem1_pipeline)
 from quanthelly import cli
 from quanthelly.cli import (EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_NUMERICAL,
                             EXIT_OK, main)
@@ -87,6 +88,27 @@ def test_run_colell_nested_boxes(nested_instance, tmp_path):
     assert code == EXIT_OK
     rep = json.loads(out_path.read_text())
     assert rep["report"]["witness_volume"] >= 1.0 - 1e-6
+
+
+def test_run_theorem1_report(tmp_path):
+    inst = generate(GeneratorSpec("common-ball", 3, 2, 6, 1))
+    path = tmp_path / "t1.json"
+    emit_instance(inst, path)
+    out_path = tmp_path / "theorem1.json"
+    code, out = run_cli(["run", "theorem1", str(path),
+                         "--out", str(out_path)])
+    assert code == EXIT_OK
+    rep = json.loads(out_path.read_text())["report"]
+    d = inst.dimension
+    norm = rep["normalization"]
+    assert [len(row) for row in norm["linear"]] == [d] * d
+    assert len(norm["shift"]) == d
+    certs = rep["certificates"]
+    assert set(certs["e_star"]) == {"shape", "center"}
+    assert len(certs["witness_translate"]) == d
+    parsed = parse_instance(path)
+    assert rep["witness_class"] == theorem1_pipeline(
+        parsed.classes, parsed.target_volume).witness_class
 
 
 def test_run_ell_flattens_family(nested_instance):

@@ -328,6 +328,19 @@ def test_colell_thread_determinism():
     assert d1 == d2
 
 
+def test_colell_exact_tie_goes_to_first_selection():
+    # Two full selections of this instance reach the greatest height bit for
+    # bit; the first of them in selection order defines the pipeline.
+    inst = generate(GeneratorSpec("common-ball", 7, 2, 5, 2))
+    rep = colell_pipeline(inst.classes, inst.target_volume)
+    heights = rep.certificates["selection_heights"]
+    tied = [sel for sel, h in zip(colorful_selections(inst.classes, 5),
+                                  heights) if h == max(heights)]
+    assert len(tied) >= 2
+    assert rep.certificates["defining_selection"] == tied[0]
+    assert rep.witness_class == 1
+
+
 @pytest.mark.parametrize("check", [True, False])
 @pytest.mark.parametrize("target", [0.0, -1.0])
 def test_colell_rejects_nonpositive_target(target, check):
