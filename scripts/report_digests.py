@@ -40,12 +40,15 @@ invocation solved (parsing included), so that a change in the work a
 pipeline does shows beside reports that do not move.
 
 Reports round to 12 significant digits, so a last section digests the
-solvers' bits: ``mvie_batch`` and ``lowest_ellipsoid_batch`` over two fixed
+solvers' bits: ``mvie_batch`` and its lift to lowest ellipsoids
+(``lift_to_target``, labelled ``lowest_ellipsoid_batch``) over two fixed
 sweep stacks (the colorful selections of one instance at d=2 and at d=3),
-at the default step budget and at one that fails mid-stack.  Each prints one
-line with the number of outcomes, the error type and the sha256 of the raw
-float64 bytes of every outcome (shape, center, objective, KKT bound) and its
-active set.  Then one ``lp`` line per stack digests its start LPs, the
+at the default step budget and at one that fails mid-stack, and the lone
+``mvie`` and ``lowest_ellipsoid`` of the first 8 polytopes of each stack,
+one at a time, up to the first that raises.  Each prints one line with the
+number of outcomes, the error type and the sha256 of the raw float64 bytes
+of every outcome (shape, center, objective, KKT bound) and its active set.
+Then one ``lp`` line per stack digests its start LPs, the
 Chebyshev-center LP of each polytope: the sha256 of every LP's status and
 the raw float64 bytes of its solution and objective, read at the one LP
 call site, ``geometry._lp``.
@@ -79,6 +82,8 @@ WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
 # fails after 44 of the d=2 problems and 7 of the d=3 ones, in both solvers
 FAILING_BUDGET = 64
+# how many polytopes of each stack the lone solvers solve
+LONE_SOLVES = 8
 # (label, generator spec) of each instance with tied selections
 TIES = [("ties", ("common-ball", 8, 2, 5, 2)),
         ("theorem1-tie", ("common-ball", 1365155147, 2, 6, 3))]
@@ -180,11 +185,25 @@ def _lp_digest(stack) -> str:
     return f"lps={count} bits={h.hexdigest()}"
 
 
+def _lone_solves(solve, polytopes):
+    """(outcomes, error) of solve on each polytope in turn, up to the first
+    that raises."""
+    from quanthelly.errors import QuantHellyError
+
+    outcomes = []
+    for P in polytopes:
+        try:
+            outcomes.append(solve(P))
+        except QuantHellyError as exc:
+            return outcomes, exc
+    return outcomes, None
+
+
 def _solver_bits():
     from quanthelly.helly import colorful_selections, selection_intersection
     from quanthelly.instances import GeneratorSpec, generate
-    from quanthelly.solvers import (SolverSettings, lowest_ellipsoid_batch,
-                                    mvie_batch)
+    from quanthelly.solvers import (SolverSettings, lift_to_target,
+                                    lowest_ellipsoid, mvie, mvie_batch)
 
     for *spec, k in SOLVER_STACKS:
         inst = generate(GeneratorSpec(*spec))
@@ -195,13 +214,21 @@ def _solver_bits():
         for budget in ("default", FAILING_BUDGET):
             settings = SolverSettings() if budget == "default" \
                 else SolverSettings(max_iterations=budget)
+            mvies = mvie_batch(stack, settings)
             for name, batch in (
-                    ("mvie_batch", mvie_batch(stack, settings)),
-                    ("lowest_ellipsoid_batch", lowest_ellipsoid_batch(
-                        stack, inst.target_volume, settings))):
+                    ("mvie_batch", mvies),
+                    ("lowest_ellipsoid_batch", lift_to_target(
+                        stack, mvies, inst.target_volume, settings))):
                 print(f"bits {name} d={inst.dimension} n={len(stack)} "
                       f"budget={budget}: {_outcome_digest(*batch)}",
                       flush=True)
+        lone = stack[:LONE_SOLVES]
+        for name, solve in (
+                ("mvie", mvie),
+                ("lowest_ellipsoid",
+                 lambda P: lowest_ellipsoid(P, inst.target_volume))):
+            print(f"bits {name} d={inst.dimension} n={len(lone)}: "
+                  f"{_outcome_digest(*_lone_solves(solve, lone))}", flush=True)
 
 
 def main(argv=None) -> int:

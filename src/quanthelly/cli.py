@@ -108,17 +108,14 @@ def _settings(args) -> SolverSettings:
     return SolverSettings(feasibility_tol=args.tol_feas, kkt_tol=args.tol_kkt)
 
 
-def _report_envelope(args, body: dict, seed=None) -> dict:
-    env = {
+def _report_envelope(args, body: dict) -> dict:
+    return {
         "tool": "quanthelly",
         "version": __version__,
         "command": args.command,
         "tolerances": {"feasibility": args.tol_feas, "kkt": args.tol_kkt},
         "report": body,
     }
-    if seed is not None:
-        env["seed"] = seed
-    return env
 
 
 def _emit(args, env: dict):

@@ -429,23 +429,23 @@ def _recession_cone_is_zero(P: HPolytope) -> bool:
 
 
 def _bounded_margin(P: HPolytope):
-    """(bounded, margin): whether P's recession cone is {0}, and P's
-    Chebyshev margin.  The one Chebyshev LP decides both when its duals
-    certify boundedness (``_duals_certify_bounded``); otherwise the 2d
-    recession-cone LPs decide boundedness.  A nonempty P is bounded iff its
-    cone is {0}; an empty P is judged by its cone as well.  When the
-    Chebyshev LP does not solve, an unbounded cone gives (False, None) and
-    a bounded one raises Unbounded; a cone LP that does not solve raises
-    Unbounded.
+    """(bounded, center, margin): whether P's recession cone is {0}, and
+    P's Chebyshev center and margin (``chebyshev_center``).  The one
+    Chebyshev LP decides all three when its duals certify boundedness
+    (``_duals_certify_bounded``); otherwise the 2d recession-cone LPs decide
+    boundedness.  A nonempty P is bounded iff its cone is {0}; an empty P is
+    judged by its cone as well.  When the Chebyshev LP does not solve, an
+    unbounded cone gives (False, None, None) and a bounded one raises
+    Unbounded; a cone LP that does not solve raises Unbounded.
     """
     try:
-        _, margin, row_dual = _chebyshev(P)
+        center, margin, row_dual = _chebyshev(P)
     except Unbounded:
         if _recession_cone_is_zero(P):
             raise
-        return False, None
+        return False, None, None
     return (_duals_certify_bounded(P.A, margin, row_dual)
-            or _recession_cone_is_zero(P)), margin
+            or _recession_cone_is_zero(P)), center, margin
 
 
 def is_bounded(P: HPolytope) -> bool:

@@ -31,8 +31,7 @@ from .geometry import (AGREEMENT_TOL, INTERIOR_TOL, AffineMap, Ellipsoid,
                        polytope_slacks, transform_ellipsoid,
                        transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
-                      lowest_ellipsoid_batch, mvie_batch, reaches_target,
-                      single_outcome, slice_below)
+                      mvie_batch, reaches_target, single_outcome, slice_below)
 
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
@@ -71,7 +70,7 @@ class ColorClasses:
         obj = cls(dim, classes)
         for ci, members in enumerate(obj.classes):
             for mi, body in enumerate(members):
-                bounded, margin = _bounded_margin(body)
+                bounded, _, margin = _bounded_margin(body)
                 if not bounded:
                     raise InstanceError(
                         f"class {ci} member {mi} is unbounded")
@@ -447,8 +446,8 @@ def _colell(classes: ColorClasses, target_volume: float, sweep,
     witness = None
     for pos in range(nc):
         K_j = intersect_all(bodies[:pos] + bodies[pos + 1:])
-        out_j = single_outcome(lowest_ellipsoid_batch([K_j], target_volume,
-                                                      inner))
+        out_j = single_outcome(lift_to_target(
+            [K_j], mvie_batch([K_j], inner), target_volume, inner))
         gap = ellipsoid_gap(out_j.ellipsoid, e_max)
         gaps.append(gap)
         if gap <= AGREEMENT_TOL:

@@ -4,9 +4,10 @@ lowest ellipsoid of prescribed volume, exact 2-D area.
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
 (Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
-stack of problems at once: ``mvie_batch`` and ``lowest_ellipsoid_batch``
-take a sequence of polytopes, and ``mvie`` and ``lowest_ellipsoid`` are
-their batches of one, behind the checks only a lone solve runs (see
+stack of problems at once: ``mvie_batch`` takes a sequence of polytopes and
+``lift_to_target`` lifts its outcomes to lowest ellipsoids.  ``mvie`` is a
+stack of one behind a boundedness check read from the Chebyshev LP that also
+starts it, and ``lowest_ellipsoid`` lifts its own ``mvie`` (see
 ``SolverSettings``).  Per-problem masks stand in for the control flow of a
 lone solve, and every row of a stacked computation makes the float
 operations of a lone solve, so each outcome is bitwise independent of the
@@ -26,8 +27,9 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
                      MaxIterations, Unbounded, VolumeInfeasible)
 from .geometry import (ACTIVE_SLACK_TOL, AGREEMENT_TOL, Ellipsoid, HPolytope,
-                       chebyshev_center, ellipsoid_gap, ellipsoid_height,
-                       ellipsoid_volume, is_bounded, unit_ball_volume)
+                       _bounded_margin, chebyshev_center, ellipsoid_gap,
+                       ellipsoid_height, ellipsoid_volume, is_bounded,
+                       unit_ball_volume)
 
 # Duality-gap target for the barrier path; well below the volume-gap contract.
 _GAP_TARGET = 1e-8
@@ -44,9 +46,10 @@ class SolverSettings:
     """Tolerances and budgets of a solve.
 
     Which checks run is decided by the entry point, not by a setting: ``mvie``
-    and ``lowest_ellipsoid`` check that the polytope is bounded, and
-    ``lowest_ellipsoid`` cross-checks its optimum against the MVIE of the
-    slab below it; ``mvie_batch`` and ``lowest_ellipsoid_batch`` do neither.
+    checks that the polytope is bounded from the one Chebyshev LP that also
+    starts its barrier, ``lowest_ellipsoid`` lifts that checked MVIE and
+    cross-checks its optimum against the MVIE of the slab below it, and
+    ``mvie_batch`` and ``lift_to_target`` do neither.
     ``feasibility_tol`` is a constraint and margin slack; it plays no part in
     deciding whether a volume reaches its target (``reaches_target``).
     """
@@ -562,9 +565,14 @@ def single_outcome(batch) -> SolveOutcome:
 # MVIE
 
 
-def _check_bounded(P: HPolytope):
-    if not is_bounded(P):
-        raise Unbounded("mvie requires a bounded polytope")
+def _start(center, margin: float, settings: SolverSettings):
+    """The MVIE barrier's start (0.9 margin I, center) from a polytope's
+    Chebyshev center and margin; raises EmptyInterior for a margin at most
+    ``feasibility_tol``."""
+    if margin <= settings.feasibility_tol:
+        raise EmptyInterior("polytope has empty interior (Chebyshev "
+                            f"margin {margin:.3e})")
+    return 0.9 * margin * np.eye(len(center)), center
 
 
 def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
@@ -582,27 +590,25 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
     solvable, starts, error = [], [], None
     for P in polytopes:
         try:
-            c0, r = chebyshev_center(P)
-        except Unbounded as exc:
+            starts.append(_start(*chebyshev_center(P), settings))
+        except (Unbounded, EmptyInterior) as exc:
             error = exc
             break
-        if r <= settings.feasibility_tol:
-            error = EmptyInterior("polytope has empty interior (Chebyshev "
-                                  f"margin {r:.3e})")
-            break
         solvable.append(P)
-        starts.append((0.9 * r * np.eye(P.dim), c0))
     outcomes, failed = _solve_stacked(solvable, _LogDet, starts, settings)
     return outcomes, error if failed is None else failed
 
 
 def mvie(P: HPolytope, settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Maximum-volume inscribed ellipsoid of a bounded full-dimensional
-    polytope.  Raises Unbounded when P is not bounded, found by
-    ``is_bounded`` before the start LP: one Chebyshev LP whose duals certify
-    boundedness, or that LP and 2d recession-cone LPs."""
-    _check_bounded(P)
-    return single_outcome(mvie_batch([P], settings))
+    polytope.  One Chebyshev LP certifies boundedness by its duals (or with
+    2d recession-cone LPs, ``_bounded_margin``) and starts the barrier;
+    Unbounded is raised before EmptyInterior."""
+    bounded, center, margin = _bounded_margin(P)
+    if not bounded:
+        raise Unbounded("mvie requires a bounded polytope")
+    start = _start(center, margin, settings)
+    return single_outcome(_solve_stacked([P], _LogDet, [start], settings))
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +624,15 @@ def slice_below(P: HPolytope, tau: float) -> HPolytope:
 
 def lift_to_target(polytopes, batch, target_volume: float,
                    settings: SolverSettings = DEFAULT_SETTINGS):
-    """The height stage of ``lowest_ellipsoid_batch``: lowest ellipsoids of
-    one target volume, started from the MVIEs ``batch`` that ``mvie_batch``
-    returned as (outcomes, error) for ``polytopes`` (of which only the first
-    ``len(outcomes)`` are read).  A nonpositive target fails with
-    VolumeInfeasible unless the batch is empty, and so does a polytope whose
-    MVIE volume does not reach the target (``reaches_target``, as in the
-    hypothesis check).  Returns (outcomes, error) like ``mvie_batch``; the
-    height problems before the first failure so far are solved as stacks,
-    so an error among them comes earlier and replaces it.
+    """Lowest ellipsoids of one target volume, started from the MVIEs
+    ``batch`` that ``mvie_batch`` returned as (outcomes, error) for
+    ``polytopes`` (of which only the first ``len(outcomes)`` are read), with
+    no slab cross-check.  A nonpositive target fails with VolumeInfeasible
+    unless the batch is empty, and so does a polytope whose MVIE volume does
+    not reach the target (``reaches_target``, as in the hypothesis check).
+    Returns (outcomes, error) like ``mvie_batch``; the height problems
+    before the first failure so far are solved as stacks, so an error among
+    them comes earlier and replaces it.
     """
     out, error = list(batch[0]), batch[1]
     if target_volume <= 0.0:
@@ -664,32 +670,20 @@ def lift_to_target(polytopes, batch, target_volume: float,
             for o in out], error
 
 
-def lowest_ellipsoid_batch(polytopes, target_volume: float,
-                           settings: SolverSettings = DEFAULT_SETTINGS):
-    """Lowest ellipsoids of one target volume in a sequence of polytopes:
-    ``lift_to_target`` on their ``mvie_batch``.  The polytopes must be
-    bounded (no check runs), and no outcome is cross-checked against the
-    MVIE of its slab; every outcome is bitwise the one a batch of one
-    gives."""
-    polytopes = list(polytopes)
-    return lift_to_target(polytopes, mvie_batch(polytopes, settings),
-                          target_volume, settings)
-
-
 def lowest_ellipsoid(P: HPolytope, target_volume: float,
                      settings: SolverSettings = DEFAULT_SETTINGS) -> SolveOutcome:
     """Among ellipsoids of the given volume inside P, the one of minimal height.
 
-    Raises VolumeInfeasible for a nonpositive target, then Unbounded when P
-    is not bounded (``is_bounded``, as in ``mvie``), before any solve.  The
-    optimum is also the MVIE of P cut below its own height (the defining
-    property of the lowest ellipsoid); the two routes are compared and a gap
-    beyond AGREEMENT_TOL raises CertificateFailed.
+    Raises VolumeInfeasible for a nonpositive target before any LP, then
+    lifts ``mvie`` of P to the target.  The optimum is also the MVIE of P
+    cut below its own height (the defining property of the lowest
+    ellipsoid); the two routes are compared and a gap beyond AGREEMENT_TOL
+    raises CertificateFailed.
     """
     if target_volume <= 0.0:
         raise VolumeInfeasible("target volume must be positive")
-    _check_bounded(P)
-    out = single_outcome(lowest_ellipsoid_batch([P], target_volume, settings))
+    out = single_outcome(lift_to_target(
+        [P], ([mvie(P, settings)], None), target_volume, settings))
     check = single_outcome(mvie_batch([slice_below(P, out.objective)],
                                       settings))
     gap = ellipsoid_gap(check.ellipsoid, out.ellipsoid)

@@ -230,6 +230,22 @@ def test_invalid_tolerance_exit_4(nested_instance, flag, value):
     assert code == EXIT_INPUT
 
 
+def test_valid_feasibility_tolerance_is_honoured(tmp_path):
+    # The first body's Chebyshev margin is 1.029: a feasibility tolerance
+    # above it makes the interior empty, one below it does not.
+    path = tmp_path / "ball.json"
+    emit_instance(generate(GeneratorSpec("common-ball", 1, 2, 5, 1)), path)
+    code, out = run_cli(["mvie", str(path), "--tol-feas", "10",
+                         "--out", "/dev/null"])
+    assert code == EXIT_NUMERICAL
+    assert out.startswith("numerical failure (EmptyInterior)")
+    report = tmp_path / "report.json"
+    code, out = run_cli(["mvie", str(path), "--tol-feas", "1e-8",
+                         "--out", str(report)])
+    assert code == EXIT_OK
+    assert json.loads(report.read_text())["tolerances"]["feasibility"] == 1e-8
+
+
 def test_path_through_a_file_exit_4(square_instance):
     code, out = run_cli(["mvie", square_instance + "/x.json"])
     assert code == EXIT_INPUT

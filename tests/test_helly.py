@@ -455,6 +455,15 @@ def test_saxuso_violated_hypothesis():
         saxuso_scenario(bad)
 
 
+def test_saxuso_sweep_failure_propagates():
+    # Five Newton steps solve no selection: the sweep's MaxIterations is
+    # raised, not read as a volume.
+    inst = generate(GeneratorSpec("common-ball", 1, 2, 5, 1))
+    with pytest.raises(MaxIterations):
+        saxuso_scenario(inst.classes, SolverSettings(max_iterations=5),
+                        check_hypothesis=False)
+
+
 def test_saxuso_skip_hypothesis_check():
     bad = classes_of_boxes(
         [([0.1, 0.1], None)], [([2.0, 2.0], None)], [([2.0, 2.0], None)],

@@ -8,7 +8,8 @@ from quanthelly import (ColorClasses, GeneratorSpec, HPolytope,
                         emit_instance, generate, geometry, parse_instance,
                         unit_ball_volume, verify_colorful_hypothesis)
 from quanthelly.errors import InstanceError, Unbounded
-from quanthelly.instances import (canonical_json, emit_report,
+from quanthelly.geometry import chebyshev_center, is_bounded
+from quanthelly.instances import (_ball_radius, canonical_json, emit_report,
                                   tangent_halfplane_family)
 
 
@@ -199,6 +200,22 @@ def test_generator_rejects_bad_kind_and_params():
         GeneratorSpec("common-ball", 1, 0, 5, 1)
     with pytest.raises(InstanceError):
         GeneratorSpec("common-ball", 1, 2, 5, 1, target_volume=-1.0)
+
+
+def test_tangent_halfspaces_fall_back_to_axis_tangents():
+    # Two half-planes never bound a body in R^2, so every body gets the 2d
+    # axis-aligned tangent half-spaces, which leave the reference ball its
+    # largest inscribed ball.
+    spec = GeneratorSpec("tangent-halfspaces", 3, 2, 3, 1,
+                         halfspaces_per_body=2)
+    inst = generate(spec)
+    bodies = [body for members in inst.classes.classes for body in members]
+    assert len(bodies) == 3
+    for body in bodies:
+        assert body.n_constraints == 2 + 2 * 2
+        assert is_bounded(body)
+        assert chebyshev_center(body)[1] == pytest.approx(
+            _ball_radius(1.0, 2), abs=1e-9)
 
 
 def test_tangent_halfplane_family_members_are_tangent():

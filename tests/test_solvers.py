@@ -14,7 +14,7 @@ from quanthelly.errors import (CertificateFailed, EmptyInterior,
                                MaxIterations, Unbounded, VolumeInfeasible)
 from quanthelly.geometry import chebyshev_center, intersect
 from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
-                                _SymSpace, lowest_ellipsoid_batch, mvie_batch,
+                                _SymSpace, lift_to_target, mvie_batch,
                                 slice_below)
 
 from _oracles import lowest_oracle, mvie_oracle
@@ -152,8 +152,13 @@ def test_mvie_offcenter_box():
 
 def test_mvie_rejects_unbounded():
     half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
-    with pytest.raises(Unbounded):
+    with pytest.raises(Unbounded, match="^mvie requires a bounded polytope$"):
         mvie(half)
+    # empty (x <= 0 and x >= 1) and unbounded along y: Unbounded comes first
+    strip = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                      np.array([0.0, -1.0]))
+    with pytest.raises(Unbounded, match="^mvie requires a bounded polytope$"):
+        mvie(strip)
 
 
 def test_mvie_rejects_empty_interior():
@@ -179,7 +184,8 @@ def _solve(objective, polytopes, settings, target=None):
     """(outcomes, error) of a batch."""
     if objective == "mvie":
         return mvie_batch(polytopes, settings)
-    return lowest_ellipsoid_batch(polytopes, target, settings)
+    return lift_to_target(polytopes, mvie_batch(polytopes, settings), target,
+                          settings)
 
 
 @pytest.mark.parametrize("objective", ["mvie", "lowest"])
@@ -343,8 +349,14 @@ def test_lowest_checks_target_then_boundedness():
     half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(VolumeInfeasible):
         lowest_ellipsoid(half, -1.0)
-    with pytest.raises(Unbounded):
+    with pytest.raises(Unbounded, match="^mvie requires a bounded polytope$"):
         lowest_ellipsoid(half, 1.0)
+    strip = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                      np.array([0.0, -1.0]))
+    with pytest.raises(VolumeInfeasible):
+        lowest_ellipsoid(strip, 0.0)
+    with pytest.raises(Unbounded, match="^mvie requires a bounded polytope$"):
+        lowest_ellipsoid(strip, 1.0)
 
 
 def test_lowest_is_mvie_of_slab(rng):
@@ -450,8 +462,8 @@ def test_lowest_raises_when_slab_mvie_disagrees(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_lp_count_per_entry_point(rng, monkeypatch, d):
-    # The lone solves check boundedness before their start LP: one Chebyshev
-    # LP whose duals certify it, or that LP and 2d recession-cone LPs when
+    # A lone solve reads boundedness and its start from one Chebyshev LP
+    # whose duals certify boundedness, and adds 2d recession-cone LPs when
     # they do not.  lowest_ellipsoid adds the start LP of its slab
     # cross-check; the batch solvers run one start LP per polytope and
     # nothing else.
@@ -472,15 +484,16 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
         return len(calls)
 
     assert count(lambda: mvie_batch(polytopes)) == 3
-    assert count(lambda: lowest_ellipsoid_batch(polytopes, target)) == 3
-    assert count(lambda: mvie(polytopes[0])) == 2
-    assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 3
+    assert count(lambda: lift_to_target(polytopes, mvie_batch(polytopes),
+                                        target)) == 3
+    assert count(lambda: mvie(polytopes[0])) == 1
+    assert count(lambda: lowest_ellipsoid(polytopes[0], target)) == 2
     assert count(lambda: is_bounded(polytopes[0])) == 1
     # a box of unequal half-widths: its optimal duals sit on the two rows of
     # the narrowest axis, rank 1, and certify nothing
     box = HPolytope.box(np.arange(d, 0, -1.0))
     assert count(lambda: is_bounded(box)) == 1 + 2 * d
-    assert count(lambda: mvie(box)) == 2 + 2 * d
+    assert count(lambda: mvie(box)) == 1 + 2 * d
 
 
 @pytest.mark.parametrize("field", ["feasibility_tol", "kkt_tol",
