@@ -43,15 +43,17 @@ Reports round to 12 significant digits, so a last section digests the
 solvers' bits: ``mvie_batch`` and its lift to lowest ellipsoids
 (``lift_to_target``, labelled ``lowest_ellipsoid_batch``) over two fixed
 sweep stacks (the colorful selections of one instance at d=2 and at d=3),
-at the default step budget and at one that fails mid-stack, and the lone
-``mvie`` and ``lowest_ellipsoid`` of the first 8 polytopes of each stack,
-one at a time, up to the first that raises.  Each prints one line with the
-number of outcomes, the error type and the sha256 of the raw float64 bytes
-of every outcome (shape, center, objective, KKT bound) and its active set.
-Then one ``lp`` line per stack digests its start LPs, the
-Chebyshev-center LP of each polytope: the sha256 of every LP's status and
-the raw float64 bytes of its solution and objective, read at the one LP
-call site, ``geometry._lp``.
+at the default step budget and at one that fails mid-stack; the lift of
+each stack's MVIEs onto the same stack with every 4th polytope replaced by
+its successor (``lift_to_target mismatched``), whose 4th problem starts
+outside its domain; and the lone ``mvie`` and ``lowest_ellipsoid`` of the
+first 8 polytopes of each stack, one at a time, up to the first that
+raises.  Each prints one line with the number of outcomes, the error type
+and the sha256 of the raw float64 bytes of every outcome (shape, center,
+objective, KKT bound) and its active set.  Then one ``lp`` line per stack
+digests its start LPs, the Chebyshev-center LP of each polytope: the sha256
+of every LP's status and the raw float64 bytes of its solution and
+objective, read at the one LP call site, ``geometry._lp``.
 """
 import argparse
 import contextlib
@@ -222,6 +224,13 @@ def _solver_bits():
                 print(f"bits {name} d={inst.dimension} n={len(stack)} "
                       f"budget={budget}: {_outcome_digest(*batch)}",
                       flush=True)
+        mismatched = list(stack)    # every 4th polytope by its successor
+        for i in range(3, len(stack) - 1, 4):
+            mismatched[i] = stack[i + 1]
+        batch = lift_to_target(mismatched, mvie_batch(stack),
+                               inst.target_volume)
+        print(f"bits lift_to_target mismatched d={inst.dimension} "
+              f"n={len(stack)}: {_outcome_digest(*batch)}", flush=True)
         lone = stack[:LONE_SOLVES]
         for name, solve in (
                 ("mvie", mvie),
@@ -246,7 +255,7 @@ def main(argv=None) -> int:
     inputs = [(f"c10-{i}", GeneratorSpec(*spec), False)
               for i, spec in enumerate(CRITERION_10)]
     inputs.append(("adversarial",
-                   GeneratorSpec("adversarial", 2, 2, 5, 2, check_k=4), True))
+                   GeneratorSpec("adversarial", 2, 2, 5, 2), True))
     inputs += [(f"{name}-s{seed}", GeneratorSpec(kind, seed, d, nc, mm), False)
                for name, kind, d, nc, mm in WORKLOAD_SPECS
                for seed in WORKLOAD_SEEDS]

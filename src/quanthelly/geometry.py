@@ -47,7 +47,8 @@ class HPolytope:
 
     A row within NORM_TOL of unit norm is kept bit for bit, so round trips
     are byte-stable; any other row and its offset are divided by the row's
-    norm.  A zero or non-finite row raises DegenerateInput.
+    norm.  A zero or non-finite row, or a non-finite offset, raises
+    DegenerateInput.
     """
 
     A: np.ndarray
@@ -60,6 +61,8 @@ class HPolytope:
             raise DegenerateInput("constraint arrays have inconsistent shapes")
         if A.shape[0] == 0:
             raise DegenerateInput("a polytope needs at least one half-space")
+        if not np.isfinite(b).all():
+            raise DegenerateInput("half-space offset must be finite")
         # The row rule uses the 1-D norm.  The vectorized norm differs from it
         # by a few ulps, so a row it puts within NORM_TOL / 2 of unit is one
         # the rule keeps, and only the other rows need the rule.

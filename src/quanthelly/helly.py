@@ -117,23 +117,7 @@ class PipelineReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        out = {
-            "witness_class": self.witness_class,
-            "witness_ellipsoid": _ellipsoid_dict(self.witness_ellipsoid),
-            "witness_volume": self.witness_volume,
-            "certificates": _plain(self.certificates),
-            "wall_time": self.wall_time,
-        }
-        if self.normalization is not None:
-            out["normalization"] = {
-                "linear": self.normalization.linear.tolist(),
-                "shift": self.normalization.shift.tolist(),
-            }
-        return out
-
-
-def _ellipsoid_dict(E: Ellipsoid) -> dict:
-    return {"shape": E.shape.tolist(), "center": E.center.tolist()}
+        return _plain({k: v for k, v in vars(self).items() if v is not None})
 
 
 def _plain(obj):
@@ -144,7 +128,9 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Ellipsoid):
-        return _ellipsoid_dict(obj)
+        return {"shape": obj.shape.tolist(), "center": obj.center.tolist()}
+    if isinstance(obj, AffineMap):
+        return {"linear": obj.linear.tolist(), "shift": obj.shift.tolist()}
     if isinstance(obj, ColorfulSelection):
         return [list(p) for p in obj.picks]
     if isinstance(obj, (np.floating,)):
@@ -185,22 +171,19 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
-def _sweep(classes: ColorClasses, k: int, settings: SolverSettings,
-           cut: Optional[HPolytope] = None):
+def _sweep(classes: ColorClasses, k: int, settings: SolverSettings):
     """The MVIE sweep of the colorful k-selections, the one sweep every
-    pipeline stage runs: their intersections (each cut by ``cut`` when
-    given), in lexicographic order, solved by one ``mvie_batch`` at
-    ``_inner`` settings.  ``mvie_batch`` stops iterating at a failing start
-    LP, so the selections past it are never enumerated.  Returns (solved,
-    failure): the (selection, intersection, outcome) triples before the
-    first failure, and (selection, error) of that failure, or None."""
+    pipeline stage runs: their intersections, in lexicographic order, solved
+    by one ``mvie_batch`` at ``_inner`` settings.  ``mvie_batch`` stops
+    iterating at a failing start LP, so the selections past it are never
+    enumerated.  Returns (solved, failure): the (selection, intersection,
+    outcome) triples before the first failure, and (selection, error) of
+    that failure, or None."""
     sels, polytopes = [], []
 
     def intersections():
         for sel in colorful_selections(classes, k):
             P = selection_intersection(classes, sel)
-            if cut is not None:
-                P = intersect_all([P, cut])
             sels.append(sel)
             polytopes.append(P)
             yield P
@@ -294,14 +277,7 @@ class HypothesisReport:
     failure_reason: Optional[str]
 
     def to_dict(self) -> dict:
-        return _plain({
-            "passed": self.passed,
-            "selections_checked": self.selections_checked,
-            "min_volume": self.min_volume,
-            "min_selection": self.min_selection,
-            "failure": self.failure,
-            "failure_reason": self.failure_reason,
-        })
+        return _plain(vars(self))
 
 
 def verify_colorful_hypothesis(classes: ColorClasses, k: int,
@@ -529,12 +505,14 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
         raise NormalizationFailed(
             f"MVIE of the cut body is not the unit ball (gap {m_gap:.3e})")
 
-    # (4) common inscribed-ball radius over the remaining families
+    # (4) common inscribed-ball radius over the remaining families, each
+    # selection cut by M: M is the one member of one more class
     rem_classes = ColorClasses(
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
+    with_cut = ColorClasses(d, rem_classes.classes + ((M,),))
     minima = [min_semiaxis(out.ellipsoid) for *_, out in
-              _solved(_sweep(rem_classes, d + 1, settings, cut=M))]
+              _solved(_sweep(with_cut, d + 2, settings))]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",

@@ -127,9 +127,8 @@ def parse_instance(path: Union[str, Path]) -> InstanceFile:
     for field in ("dimension", "classes"):
         if field not in raw:
             raise InstanceError(f"missing top-level field '{field}'")
-    try:
-        d = int(raw["dimension"])
-    except (TypeError, ValueError):
+    d = raw["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool):
         raise InstanceError("'dimension' must be an integer")
     if d < 1:
         raise InstanceError("'dimension' must be positive")
@@ -168,7 +167,6 @@ class GeneratorSpec:
     members_per_class: int
     target_volume: float = 1.0
     halfspaces_per_body: int = 8
-    check_k: Optional[int] = None  # selection size the adversarial kind violates
 
     def __post_init__(self):
         if self.kind not in ("common-ball", "tangent-halfspaces",
@@ -256,8 +254,7 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
             (HPolytope(np.vstack([np.eye(d), -np.eye(d)]),
                        np.full(2 * d, widths[ci])),)
             for ci in range(n))
-    else:  # adversarial
-        check_k = spec.check_k or 2 * d
+    else:  # adversarial: the 2d-selection hypothesis (or all classes') fails
         for _ in range(_RETRY_BUDGET):
             z = rng.uniform(-0.5, 0.5, size=d)
             sizes = _class_sizes(rng, spec)
@@ -267,7 +264,7 @@ def generate(spec: GeneratorSpec) -> InstanceFile:
                       for _ in range(sizes[ci]))
                 for ci in range(spec.class_count)))
             rep = verify_colorful_hypothesis(
-                cc, min(check_k, spec.class_count), spec.target_volume)
+                cc, min(2 * d, spec.class_count), spec.target_volume)
             if not rep.passed:
                 return InstanceFile(d, spec.target_volume, cc)
         raise InstanceError(

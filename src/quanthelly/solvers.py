@@ -4,7 +4,9 @@ lowest ellipsoid of prescribed volume, exact 2-D area.
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
 (Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
-stack of problems at once: ``mvie_batch`` takes a sequence of polytopes and
+stack of problems at once: ``_solve_stacked`` takes each stack from its
+start points through the t schedule, retiring problems that fail, to its
+outcomes.  ``mvie_batch`` takes a sequence of polytopes and
 ``lift_to_target`` lifts its outcomes to lowest ellipsoids.  ``mvie`` is a
 stack of one behind a boundedness check read from the Chebyshev LP that also
 starts it, and ``lowest_ellipsoid`` lifts its own ``mvie`` (see
@@ -259,24 +261,25 @@ class _Barrier:
 
     def eval(self, x):
         """Returns (ok, cache): ok lists which rows of x lie inside the domain
-        and the cache holds those rows."""
+        and the cache holds those rows.  A row is inside when B has a
+        Cholesky factor, every slack and |B a_i| is positive, and the
+        objective's own domain test passes; the last runs on the rows that
+        pass the others."""
         A, b = self.A, self.b
         pB = self.sym.p
         B = self.sym.mat(x[:, :pB])
         c = x[:, pB:]
-        try:
-            np.linalg.cholesky(B)
-            pd = None
-        except np.linalg.LinAlgError:
-            pd = _factorable(B)
         V = A @ B
         # np.linalg.norm(V, axis=2), without its dispatch
         n = np.sqrt(np.add.reduce(V * V, axis=2))
         s = b - _matvec(A, c) - n
         # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons do)
         ok = ~(np.fmin(n, s) <= 0.0).any(axis=1)
-        if pd is not None:
-            ok &= pd
+        try:
+            np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            ok &= _factorable(B)
+        # the row tests run on lists: a NumPy reduction costs more at this size
         okl = ok.tolist()
         if not all(okl):
             if not any(okl):
@@ -285,14 +288,10 @@ class _Barrier:
         _, logdet = np.linalg.slogdet(B)
         state, in_domain = self.objective.state(B, c, logdet)
         cache = (B, V, n, s) + state
-        if in_domain is not None:
-            inl = in_domain.tolist()
-            if not all(inl):
-                cache = _take(cache, in_domain)
-                it = iter(inl)
-                okl = [o and next(it) for o in okl]
-                if not any(inl):
-                    return okl, ()
+        if in_domain is not None and not all(in_domain.tolist()):
+            ok[ok] = in_domain
+            okl = ok.tolist()
+            cache = _take(cache, in_domain)
         slog = np.add.reduce(np.log(cache[3]), axis=1)
         return okl, cache[:4] + (slog,) + cache[4:]
 
@@ -476,77 +475,72 @@ def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
     return x, cache, steps
 
 
-def _barrier_path(prob: _Barrier, x, settings: SolverSettings):
-    """Follows the central path of every problem from the rows of x until the
-    duality-gap bound reaches the target.  All problems share m, hence the
-    t schedule.  Returns (live, x, cache, kkt, errors): the problems ``live``
-    finished with those iterates, eval caches and KKT bounds; errors[i] is
-    the MaxIterations that stopped problem i, or None."""
-    errors = [None] * len(x)
-    ok, cache = prob.eval(x)
-    live = [i for i, o in enumerate(ok) if o]
-    if len(live) < len(x):
-        for i, o in enumerate(ok):
-            if not o:
-                errors[i] = MaxIterations("barrier start point left the domain")
-        if not live:
-            return live, x, cache, None, errors
-        x, prob = x[live], prob.take(live)
-    t = 1.0
-    budget = settings.max_iterations
-    used = [0] * len(live)
-    while True:
-        # Intermediate centerings only need to stay in the region of quadratic
-        # convergence; the tight tolerance is reserved for the final t.
-        final = prob.n_barrier_terms / t <= settings.gap_target
-        tol = _CENTER_TOL if final else 1e-3
-        x, cache, steps = _newton_centering(
-            prob, x, cache, t, [budget - u for u in used], tol)
-        used = [u + s for u, s in zip(used, steps)]
-        # A problem that spent its budget left its centering without a
-        # decrement test at its last iterate, at the final t as at any other.
-        keep = [k for k, u in enumerate(used) if u < budget]
-        if len(keep) < len(used):
-            for k, u in enumerate(used):
-                if u >= budget:
-                    errors[live[k]] = MaxIterations(
-                        f"barrier solver exceeded {budget} Newton steps")
-            if not keep:
-                return [], x, cache, None, errors
-            live, used = [live[k] for k in keep], [used[k] for k in keep]
-            x, cache, prob = x[keep], _take(cache, keep), prob.take(keep)
-        if final:
-            g, _ = prob.grad_hess(cache, t)
-            gap = prob.n_barrier_terms / t
-            return live, x, cache, gap + np.sqrt(_rowdot(g, g)) / t, errors
-        t *= _T_GROWTH
-
-
 def _solve_stacked(polytopes, objective, starts, settings):
     """Barrier solves of objective(d) on each polytope from its start (B0, c0),
     one stack per constraint-matrix shape.  Returns (outcomes, error): the
     outcomes in input order up to the first problem that failed, and that
-    problem's error (None when every problem was solved).  An outcome's
-    objective is log det B and its active set is the near-zero slacks."""
+    problem's error (None when every problem was solved).
+
+    A stack's problems share m, hence one t schedule: each centering runs
+    on the problems still live, until the duality-gap bound reaches the
+    target.  A problem retires with MaxIterations when its start lies outside
+    the domain or its budget of Newton steps is spent, and the others go on.
+    An outcome's objective is log det B, its KKT bound is the gap plus
+    |grad f_t| / t at the final t, and its active set is the near-zero
+    slacks."""
     out = [None] * len(polytopes)
     errors = [None] * len(polytopes)
     groups = {}
     for i, P in enumerate(polytopes):
         groups.setdefault(P.A.shape, []).append(i)
-    for (_, d), idx in groups.items():
-        prob = _Barrier(np.stack([polytopes[i].A for i in idx]),
-                        np.stack([polytopes[i].b for i in idx]), objective(d))
-        B0 = np.stack([starts[i][0] for i in idx])
-        c0 = np.stack([starts[i][1] for i in idx])
-        x0 = np.concatenate([prob.sym.coords(B0), c0], axis=1)
-        live, x, cache, kkt, errs = _barrier_path(prob, x0, settings)
-        for i, e in zip(idx, errs):
-            errors[i] = e
-        for j, k in enumerate(live):
-            B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
-            active = tuple(int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-            out[idx[k]] = SolveOutcome(Ellipsoid(B, x[j, prob.sym.p:]),
-                                       float(logdet), float(kkt[j]), active)
+    for (_, d), live in groups.items():
+        prob = _Barrier(np.stack([polytopes[i].A for i in live]),
+                        np.stack([polytopes[i].b for i in live]), objective(d))
+        B0 = np.stack([starts[i][0] for i in live])
+        c0 = np.stack([starts[i][1] for i in live])
+        x = np.concatenate([prob.sym.coords(B0), c0], axis=1)
+        ok, cache = prob.eval(x)
+        gone, why = [not o for o in ok], "barrier start point left the domain"
+        left = [settings.max_iterations] * len(live)
+        t, final = 1.0, False
+        while True:
+            if any(gone):
+                for i, gk in zip(live, gone):
+                    if gk:
+                        errors[i] = MaxIterations(why)
+                keep = [k for k, gk in enumerate(gone) if not gk]
+                live, left = [live[k] for k in keep], [left[k] for k in keep]
+                if not live:
+                    break
+                # the start's cache already holds only the rows inside
+                if len(cache[0]) > len(keep):
+                    cache = _take(cache, keep)
+                x, prob = x[keep], prob.take(keep)
+            if final:
+                g, _ = prob.grad_hess(cache, t)
+                kkt = prob.n_barrier_terms / t + np.sqrt(_rowdot(g, g)) / t
+                for j, i in enumerate(live):
+                    B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
+                    active = tuple(
+                        int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
+                    out[i] = SolveOutcome(Ellipsoid(B, x[j, prob.sym.p:]),
+                                          float(logdet), float(kkt[j]), active)
+                break
+            # Intermediate centerings only need to stay in the region of
+            # quadratic convergence; the tight tolerance is reserved for the
+            # final t.
+            final = prob.n_barrier_terms / t <= settings.gap_target
+            x, cache, steps = _newton_centering(
+                prob, x, cache, t, left, _CENTER_TOL if final else 1e-3)
+            left = [n - s for n, s in zip(left, steps)]
+            # A problem whose budget is spent ended its centering without a
+            # decrement test at its last iterate, at the final t as at any
+            # other.
+            gone = [n == 0 for n in left]
+            why = (f"barrier solver exceeded {settings.max_iterations} "
+                   "Newton steps")
+            if not final:
+                t *= _T_GROWTH
     for i, e in enumerate(errors):
         if e is not None:
             return out[:i], e

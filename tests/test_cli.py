@@ -36,7 +36,7 @@ def square_instance(tmp_path):
 
 @pytest.fixture
 def adversarial_instance(tmp_path):
-    inst = generate(GeneratorSpec("adversarial", 2, 2, 5, 2, check_k=4))
+    inst = generate(GeneratorSpec("adversarial", 2, 2, 5, 2))
     path = tmp_path / "adv.json"
     emit_instance(inst, path)
     return str(path)
@@ -202,6 +202,19 @@ def test_unbounded_member_with_interior_exit_4(tmp_path):
                          "--out", str(tmp_path / "report.json")])
     assert code == EXIT_INPUT
     assert "class 0 member 0 is unbounded" in out
+
+
+def test_non_finite_offset_exit_4(tmp_path):
+    # json reads the NaN literal; the body is rejected as input, not solved
+    doc = {"dimension": 2, "target_volume": 1.0, "classes": [[[
+        {"a": [1.0, 0.0], "b": 1.0}, {"a": [-1.0, 0.0], "b": 1.0},
+        {"a": [0.0, 1.0], "b": 1.0}, {"a": [0.0, -1.0], "b": math.nan}]]]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    code, out = run_cli(["mvie", str(path), "--out", "/dev/null"])
+    assert code == EXIT_INPUT
+    assert "offset must be finite" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -50,6 +50,15 @@ def test_halfspace_rejects_zero_normal():
         HPolytope([[1.0, 0.0]], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_halfspace_rejects_non_finite_offset(offset):
+    with pytest.raises(DegenerateInput, match="offset"):
+        HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, offset])
+    # an offset that a row's normalization divides is checked as given
+    with pytest.raises(DegenerateInput, match="offset"):
+        HPolytope([[2.0, 0.0]], [offset])
+
+
 def test_already_unit_normal_is_preserved_exactly():
     P = HPolytope([[1.0, 0.0]], [0.5])
     assert P.A[0, 0] == 1.0 and P.A[0, 1] == 0.0

@@ -91,6 +91,16 @@ def test_invalid_json_and_missing_fields(tmp_path):
         parse_instance(path)
 
 
+@pytest.mark.parametrize("dimension", [2.7, True, "2"])
+def test_dimension_must_be_a_json_integer(tmp_path, dimension):
+    doc = json.loads(minimal_instance_text())
+    doc["dimension"] = dimension
+    path = tmp_path / "dimension.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="'dimension' must be an integer"):
+        parse_instance(path)
+
+
 @pytest.mark.parametrize("target", [-1.0, 0.0, math.inf, "large"])
 def test_target_volume_must_be_positive(tmp_path, target):
     doc = json.loads(minimal_instance_text())
@@ -187,7 +197,7 @@ def test_nested_boxes_monotone():
 
 
 def test_adversarial_violates_hypothesis():
-    spec = GeneratorSpec("adversarial", 2, 2, 5, 2, check_k=4)
+    spec = GeneratorSpec("adversarial", 2, 2, 5, 2)
     inst = generate(spec)
     rep = verify_colorful_hypothesis(inst.classes, 4, 1.0)
     assert not rep.passed

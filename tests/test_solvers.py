@@ -274,6 +274,22 @@ def test_batch_max_iterations_at_first_position(rng, objective):
     assert isinstance(error, MaxIterations)
 
 
+def test_start_outside_the_domain_retires_with_max_iterations():
+    # The larger box's MVIE is no start for a height problem on the smaller
+    # box: that problem retires at its start, and the problems stacked with
+    # it keep the bits of their lone solves.
+    b1, b2 = HPolytope.box([1, 1]), HPolytope.box([2, 2])
+    lone, error = lift_to_target([b1], mvie_batch([b1]), 1.0)
+    assert error is None and len(lone) == 1
+    out, error = lift_to_target([b1, b1, b1], mvie_batch([b1, b2, b1]), 1.0)
+    assert len(out) == 1 and _same_outcome(out[0], lone[0])
+    assert isinstance(error, MaxIterations)
+    assert str(error) == "barrier start point left the domain"
+    out, error = lift_to_target([b1, b1], mvie_batch([b2, b1]), 1.0)
+    assert out == [] and isinstance(error, MaxIterations)
+    assert str(error) == "barrier start point left the domain"
+
+
 # ---------------------------------------------------------------------------
 # Lowest ellipsoid
 
