@@ -36,8 +36,10 @@ instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
 ``run colell`` or ``run saxuso`` line, and on the ``ell-d2`` inputs each
 ``run ell`` line, is followed by a ``work`` line with the number of LPs the
-invocation solved (parsing included), so that a change in the work a
-pipeline does shows beside reports that do not move.
+invocation solved (parsing included) and of the stacked Newton systems the
+barrier engine solved, with their total rows (calls of
+``solvers._newton_directions``), so that a change in the work a pipeline
+does shows beside reports that do not move.
 
 Reports round to 12 significant digits, so a last section digests the
 solvers' bits: ``mvie_batch`` and its lift to lowest ellipsoids
@@ -53,7 +55,9 @@ and the sha256 of the raw float64 bytes of every outcome (shape, center,
 objective, KKT bound) and its active set.  Then one ``lp`` line per stack
 digests its start LPs, the Chebyshev-center LP of each polytope: the sha256
 of every LP's status and the raw float64 bytes of its solution and
-objective, read at the one LP call site, ``geometry._lp``.
+objective, read at the one LP call site, ``geometry._lp``.  A last
+``work`` line per stack counts the LPs and Newton systems of its ``bits``
+lines.
 """
 import argparse
 import contextlib
@@ -151,20 +155,50 @@ def _outcome_digest(outcomes, error) -> str:
 
 
 @contextlib.contextmanager
-def _recorded_lps(geometry, record):
-    """Calls record(status, x, fun) on every LP that geometry solves."""
-    solve = geometry._lp
+def _recorded(module, name, record):
+    """Calls record(result) on every call of module.name."""
+    call = getattr(module, name)
 
     def recorded(*args):
-        out = solve(*args)
-        record(*out[:3])  # the row duals, where returned, are not read
+        out = call(*args)
+        record(out)
         return out
 
-    geometry._lp = recorded
+    setattr(module, name, recorded)
     try:
         yield
     finally:
-        geometry._lp = solve
+        setattr(module, name, call)
+
+
+def _recorded_lps(geometry, record):
+    """Calls record(status, x, fun) on every LP that geometry solves."""
+    # the row duals, where returned, are not read
+    return _recorded(geometry, "_lp", lambda out: record(*out[:3]))
+
+
+@contextlib.contextmanager
+def _counted_work():
+    """Counts the LPs and the stacked Newton systems, with their total rows,
+    solved inside the block; yields the counts as a dict."""
+    from quanthelly import geometry, solvers
+
+    work = {"lps": 0, "newton_systems": 0, "newton_rows": 0}
+
+    def lp(*_):
+        work["lps"] += 1
+
+    def newton(delta):
+        work["newton_systems"] += 1
+        work["newton_rows"] += len(delta)
+
+    with _recorded_lps(geometry, lp), \
+            _recorded(solvers, "_newton_directions", newton):
+        yield work
+
+
+def _work_line(work) -> str:
+    return " ".join(f"{key}={count}" for key, count in work.items())
 
 
 def _lp_digest(stack) -> str:
@@ -201,11 +235,41 @@ def _lone_solves(solve, polytopes):
     return outcomes, None
 
 
+def _stack_bits(inst, stack):
+    """The ``bits`` lines of one solver-bit stack."""
+    from quanthelly.solvers import (SolverSettings, lift_to_target,
+                                    lowest_ellipsoid, mvie, mvie_batch)
+
+    for budget in ("default", FAILING_BUDGET):
+        settings = SolverSettings() if budget == "default" \
+            else SolverSettings(max_iterations=budget)
+        mvies = mvie_batch(stack, settings)
+        for name, batch in (
+                ("mvie_batch", mvies),
+                ("lowest_ellipsoid_batch", lift_to_target(
+                    stack, mvies, inst.target_volume, settings))):
+            print(f"bits {name} d={inst.dimension} n={len(stack)} "
+                  f"budget={budget}: {_outcome_digest(*batch)}",
+                  flush=True)
+    mismatched = list(stack)    # every 4th polytope by its successor
+    for i in range(3, len(stack) - 1, 4):
+        mismatched[i] = stack[i + 1]
+    batch = lift_to_target(mismatched, mvie_batch(stack),
+                           inst.target_volume)
+    print(f"bits lift_to_target mismatched d={inst.dimension} "
+          f"n={len(stack)}: {_outcome_digest(*batch)}", flush=True)
+    lone = stack[:LONE_SOLVES]
+    for name, solve in (
+            ("mvie", mvie),
+            ("lowest_ellipsoid",
+             lambda P: lowest_ellipsoid(P, inst.target_volume))):
+        print(f"bits {name} d={inst.dimension} n={len(lone)}: "
+              f"{_outcome_digest(*_lone_solves(solve, lone))}", flush=True)
+
+
 def _solver_bits():
     from quanthelly.helly import colorful_selections, selection_intersection
     from quanthelly.instances import GeneratorSpec, generate
-    from quanthelly.solvers import (SolverSettings, lift_to_target,
-                                    lowest_ellipsoid, mvie, mvie_batch)
 
     for *spec, k in SOLVER_STACKS:
         inst = generate(GeneratorSpec(*spec))
@@ -213,31 +277,10 @@ def _solver_bits():
                  for sel in colorful_selections(inst.classes, k)]
         print(f"lp chebyshev_center d={inst.dimension} n={len(stack)}: "
               f"{_lp_digest(stack)}", flush=True)
-        for budget in ("default", FAILING_BUDGET):
-            settings = SolverSettings() if budget == "default" \
-                else SolverSettings(max_iterations=budget)
-            mvies = mvie_batch(stack, settings)
-            for name, batch in (
-                    ("mvie_batch", mvies),
-                    ("lowest_ellipsoid_batch", lift_to_target(
-                        stack, mvies, inst.target_volume, settings))):
-                print(f"bits {name} d={inst.dimension} n={len(stack)} "
-                      f"budget={budget}: {_outcome_digest(*batch)}",
-                      flush=True)
-        mismatched = list(stack)    # every 4th polytope by its successor
-        for i in range(3, len(stack) - 1, 4):
-            mismatched[i] = stack[i + 1]
-        batch = lift_to_target(mismatched, mvie_batch(stack),
-                               inst.target_volume)
-        print(f"bits lift_to_target mismatched d={inst.dimension} "
-              f"n={len(stack)}: {_outcome_digest(*batch)}", flush=True)
-        lone = stack[:LONE_SOLVES]
-        for name, solve in (
-                ("mvie", mvie),
-                ("lowest_ellipsoid",
-                 lambda P: lowest_ellipsoid(P, inst.target_volume))):
-            print(f"bits {name} d={inst.dimension} n={len(lone)}: "
-                  f"{_outcome_digest(*_lone_solves(solve, lone))}", flush=True)
+        with _counted_work() as work:
+            _stack_bits(inst, stack)
+        print(f"work solver stack d={inst.dimension} n={len(stack)}: "
+              f"{_work_line(work)}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -247,7 +290,6 @@ def main(argv=None) -> int:
                         "imported from (default: this checkout's src/)")
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
-    from quanthelly import geometry
     from quanthelly.cli import main as cli_main
     from quanthelly.instances import (GeneratorSpec, emit_instance, generate,
                                       parse_instance)
@@ -277,13 +319,12 @@ def main(argv=None) -> int:
             for cmd in _commands(inst.dimension, adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]
-                lps = []
-                with _recorded_lps(geometry, lambda *lp: lps.append(lp[0])):
+                with _counted_work() as work:
                     line = _invoke(cli_main, argv, tmp / "report.json")
                 print(f"{label} {' '.join(cmd)}: {line}", flush=True)
-                if any(label.startswith(prefix) and cmd == work
-                       for prefix, work in WORK):
-                    print(f"{label} {' '.join(cmd)} work: lps={len(lps)}",
+                if any(label.startswith(prefix) and cmd == counted
+                       for prefix, counted in WORK):
+                    print(f"{label} {' '.join(cmd)} work: {_work_line(work)}",
                           flush=True)
     _solver_bits()
     return 0

@@ -86,6 +86,16 @@ def emit_instance(inst: InstanceFile,
     return text
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (not true or false) as a float, or InstanceError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:                   # an integer beyond float range
+        raise InstanceError(f"{what} is out of range")
+
+
 def _parse_body(raw, d, ci, mi) -> HPolytope:
     where = f"classes[{ci}][{mi}]"
     if not isinstance(raw, list) or not raw:
@@ -102,11 +112,9 @@ def _parse_body(raw, d, ci, mi) -> HPolytope:
         if not isinstance(a, list) or len(a) != d:
             raise InstanceError(
                 f"{where}[{hi}].a must be a list of {d} numbers")
-        try:
-            A.append(np.array(a, dtype=float).reshape(d))
-            b.append(float(item["b"]))
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"{where}[{hi}] is malformed: {exc}")
+        A.append([_number(v, f"{where}[{hi}].a[{j}]")
+                  for j, v in enumerate(a)])
+        b.append(_number(item["b"], f"{where}[{hi}].b"))
     return HPolytope(A, b)
 
 
@@ -119,8 +127,10 @@ def parse_instance(path: Union[str, Path]) -> InstanceFile:
     with their (class, member) indices.
     """
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # a ValueError when the text is not UTF-8 or not JSON, a
+        # RecursionError when it nests deeper than the parser's stack
         raise InstanceError(f"not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InstanceError("top-level document must be an object")
@@ -132,10 +142,7 @@ def parse_instance(path: Union[str, Path]) -> InstanceFile:
         raise InstanceError("'dimension' must be an integer")
     if d < 1:
         raise InstanceError("'dimension' must be positive")
-    try:
-        target = float(raw.get("target_volume", 1.0))
-    except (TypeError, ValueError):
-        raise InstanceError("'target_volume' must be a number")
+    target = _number(raw.get("target_volume", 1.0), "'target_volume'")
     if not (math.isfinite(target) and target > 0.0):
         raise InstanceError("'target_volume' must be positive and finite")
     if not isinstance(raw["classes"], list) or not raw["classes"]:

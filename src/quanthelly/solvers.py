@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -54,6 +55,8 @@ class SolverSettings:
     ``mvie_batch`` and ``lift_to_target`` do neither.
     ``feasibility_tol`` is a constraint and margin slack; it plays no part in
     deciding whether a volume reaches its target (``reaches_target``).
+    ``max_iterations``, the Newton-step budget of each problem, is an
+    integer >= 1.
     """
 
     feasibility_tol: float = 1e-9
@@ -63,8 +66,10 @@ class SolverSettings:
 
     def __post_init__(self):
         tols = (self.feasibility_tol, self.kkt_tol, self.gap_target)
+        budget = self.max_iterations
         if not (all(math.isfinite(x) and x > 0 for x in tols)
-                and self.max_iterations > 0):
+                and isinstance(budget, numbers.Integral)
+                and not isinstance(budget, bool) and budget >= 1):
             raise ValueError("invalid solver settings")
 
 
@@ -256,8 +261,11 @@ class _Barrier:
         return self.sym.basis_apply(self.A)
 
     def take(self, rows) -> "_Barrier":
-        """The problems at ``rows``."""
-        return _Barrier(self.A[rows], self.b[rows], self.objective)
+        """The problems at ``rows``, with their rows of a built ``W``."""
+        sub = _Barrier(self.A[rows], self.b[rows], self.objective)
+        if "W" in self.__dict__:
+            sub.W = self.W[rows]
+        return sub
 
     def eval(self, x):
         """Returns (ok, cache): ok lists which rows of x lie inside the domain
@@ -386,23 +394,19 @@ class _Height:
 
 def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     """Backtracking line search (Armijo, step halving) along delta from the
-    rows ``look`` of x, where f[k] = f_t(x_k) and gd[k] = g_k . delta_k.  The
+    rows ``look`` of x, where f[i] = f_t(x_i) and gd[i] = g_i . delta_i.  The
     rows start at step 1 and halve together, so the rows still backtracking
     share one step.  Returns (x, cache, moved) with the accepted rows moved
-    and their f updated in place."""
+    and their f updated in place; the only code that moves an iterate."""
     moved = [False] * len(x)
     step = 1.0
     while look and step >= 1e-12:
-        if len(look) == len(x):
-            cand = x + step * delta
-            ok, cc = prob.eval(cand)
-        else:
-            cand = x[look] + step * delta[look]
-            ok, cc = prob.take(look).eval(cand)
+        cand = x[look] + step * delta[look]
+        ok, cc = (prob if len(look) == len(x) else prob.take(look)).eval(cand)
         vals = iter(prob.value(cc, t).tolist() if cc else ())
         fc = [next(vals) if o else None for o in ok]
-        good = [v is not None and v <= f[k] + 0.25 * step * gd[k]
-                for v, k in zip(fc, look)]
+        good = [v is not None and v <= f[i] + 0.25 * step * gd[i]
+                for v, i in zip(fc, look)]
         pos = [j for j, gj in enumerate(good) if gj]
         if len(pos) == len(x):                # every row, at the full step
             f[:] = fc
@@ -413,10 +417,10 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
             x[hit] = cand[pos]
             for a, v in zip(cache, cc):
                 a[hit] = v[[rank[j] - 1 for j in pos]]
-            for j, k in zip(pos, hit):
-                moved[k] = True
-                f[k] = fc[j]
-            look = [k for k, gk in zip(look, good) if not gk]
+            for j, i in zip(pos, hit):
+                moved[i] = True
+                f[i] = fc[j]
+            look = [i for i, gi in zip(look, good) if not gi]
         step *= 0.5
     return x, cache, moved
 
@@ -427,51 +431,37 @@ def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
     Returns (x, cache, steps).
 
     Each problem follows the iterates it follows alone: it leaves the working
-    set when its Newton decrement is small or stalls, its Newton system
-    fails, its line search fails or its budget is spent, and the others go
-    on.  A problem's last iterate is written back to x and cache when it
-    leaves.  Control state (f_t, previous decrement, steps) is kept per
-    problem; only the working rows are filtered.
+    rows ``ws`` when its Newton decrement is small or stalls, its Newton
+    system fails, its line search fails or its budget is spent, and the
+    others go on; only the line search moves rows of x and cache.
     """
     n = len(x)
     f = prob.value(cache, t).tolist()
     prev_lam2 = [math.inf] * n
     steps = [0] * n
-    ws = list(range(n))                       # problem of each working row
-    sub, xw, cw = prob, x, cache
+    delta, gd = np.empty_like(x), [0.0] * n
+    ws = list(range(n))
     while ws:
+        sub, cw = ((prob, cache) if len(ws) == n
+                   else (prob.take(ws), _take(cache, ws)))
         g, H = sub.grad_hess(cw, t)
-        delta = _newton_directions(H, g)
-        gd = _rowdot(g, delta).tolist()
+        dw = _newton_directions(H, g)
+        delta[ws] = dw
         look = []
-        for k, (i, v) in enumerate(zip(ws, gd)):
+        for i, v in zip(ws, _rowdot(g, dw).tolist()):
+            gd[i] = v
             # (-g).delta is exactly -(g.delta): negation commutes with
             # rounding.  Rounding floor: for huge t the decrement stops
             # improving while the point is already essentially centered.
             lam2 = -v
             if not (lam2 / 2.0 <= tol
                     or (lam2 < 1e-5 and lam2 >= 0.99 * prev_lam2[i])):
-                look.append(k)
+                look.append(i)
             prev_lam2[i] = lam2
-        fw = [f[i] for i in ws]
-        xw, cw, moved = _line_search(sub, xw, cw, fw, gd, delta, t, look)
-        for k in look:
-            steps[ws[k]] += 1
-        keep, out = [], []
-        for k, (i, m) in enumerate(zip(ws, moved)):
-            f[i] = fw[k]
-            (keep if m and steps[i] < budget[i] else out).append(k)
-        if not out:
-            continue
-        if not keep and len(ws) == n:         # nothing written back yet
-            return xw, cw, steps
-        rows = [ws[k] for k in out]
-        x[rows] = xw[out]
-        for a, v in zip(cache, cw):
-            a[rows] = v[out]
-        ws = [ws[k] for k in keep]
-        if ws:
-            sub, xw, cw = sub.take(keep), xw[keep], _take(cw, keep)
+        x, cache, moved = _line_search(prob, x, cache, f, gd, delta, t, look)
+        for i in look:
+            steps[i] += 1
+        ws = [i for i in ws if moved[i] and steps[i] < budget[i]]
     return x, cache, steps
 
 

@@ -217,6 +217,29 @@ def test_non_finite_offset_exit_4(tmp_path):
     assert "offset must be finite" in out
 
 
+def test_ill_typed_numbers_exit_4(tmp_path):
+    # booleans and numeric strings where numbers belong: the square
+    # [-1, 1]^2 as Python's float() would read it
+    doc = {"dimension": 2, "target_volume": True, "classes": [[[
+        {"a": [True, False], "b": "1"}, {"a": [-1, 0], "b": 1},
+        {"a": [False, True], "b": "1"}, {"a": [0, -1], "b": 1}]]]}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["mvie", str(path), "--out", "/dev/null"])
+    assert code == EXIT_INPUT
+    assert "must be a number" in out
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_instance_exit_4(tmp_path, data):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    code, out = run_cli(["mvie", str(path), "--out", "/dev/null"])
+    assert code == EXIT_INPUT
+    assert "input error" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["mvie", "--member", "5"], ["mvie", "--class", "7"],
     ["mvie", "--member", "-1"], ["mvie", "--class", "-1"],

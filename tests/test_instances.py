@@ -101,6 +101,25 @@ def test_dimension_must_be_a_json_integer(tmp_path, dimension):
         parse_instance(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a", [True, False]), ("a", [[1], [0]]), ("a", ["1", "0"]),
+    ("b", True), ("b", "1"), ("b", 10 ** 400),
+    ("target_volume", True), ("target_volume", "1"),
+], ids=["a-bools", "a-nested", "a-strings", "b-bool", "b-string",
+        "b-huge-integer", "target-bool", "target-string"])
+def test_numbers_must_be_json_numbers(tmp_path, field, value):
+    doc = json.loads(minimal_instance_text())
+    if field == "target_volume":
+        doc[field] = value
+    else:
+        doc["classes"][0][0][0][field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError,
+                       match=f"{field}.* must be a number|is out of range"):
+        parse_instance(path)
+
+
 @pytest.mark.parametrize("target", [-1.0, 0.0, math.inf, "large"])
 def test_target_volume_must_be_positive(tmp_path, target):
     doc = json.loads(minimal_instance_text())

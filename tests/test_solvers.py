@@ -113,6 +113,22 @@ def test_sym_space_maps_match_basis_matrices(rng, d):
                           np.einsum('kcd,md->kmc', E, A))
 
 
+@pytest.mark.parametrize("built", [False, True])
+def test_barrier_take_gathers_the_basis_tensor(rng, built):
+    # taking rows hands the sub-stack its rows of a built W; both routes
+    # give the bits of the tensor built on the rows' own constraints
+    d, rows = 3, [4, 1, 1]
+    A, b = rng.normal(size=(5, 7, d)), rng.uniform(1.0, 2.0, size=(5, 7))
+    prob = _Barrier(A, b, _LogDet(d))
+    if built:
+        prob.W
+    W = prob.take(rows).W
+    expected = solvers._sym_space(d).basis_apply(A[rows])
+    assert ("W" in vars(prob)) == built
+    assert W.shape == expected.shape
+    assert W.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # MVIE fixtures and oracle agreement
 
@@ -518,3 +534,11 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
 def test_settings_reject_nonpositive_and_nonfinite_tolerances(field, value):
     with pytest.raises(ValueError):
         SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 0.5, 3.0, True, "3"])
+def test_settings_reject_a_step_budget_that_is_not_an_integer(value):
+    # a budget of 2.5 never counts down to 0, so a problem whose budget is
+    # spent would not be retired with MaxIterations
+    with pytest.raises(ValueError):
+        SolverSettings(max_iterations=value)
