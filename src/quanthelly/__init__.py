@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 from .errors import QuantHellyError
 from .geometry import (AffineMap, Ellipsoid, HPolytope,
                        ellipsoid_height, ellipsoid_in_polytope,
-                       ellipsoid_volume, intersect, is_bounded, has_interior,
-                       min_semiaxis, support_value, transform_ellipsoid,
-                       transform_polytope, unit_ball_volume)
-from .solvers import (SolverSettings, SolveOutcome, lowest_ellipsoid, mvie,
-                      polytope_volume_2d)
+                       ellipsoid_volume, intersect, is_bounded, min_semiaxis,
+                       support_value, transform_ellipsoid, transform_polytope,
+                       unit_ball_volume)
+from .solvers import SolverSettings, SolveOutcome, lowest_ellipsoid, mvie
 from .john import (CriticalCertificate, JohnDecomposition, contact_points,
                    critical_subfamily, inscribed_ball_in_ellipsoid,
                    john_decomposition, normalize_to_john_position)
@@ -24,10 +23,10 @@ from .instances import (GeneratorSpec, InstanceFile, emit_instance,
 __all__ = [
     "QuantHellyError", "AffineMap", "Ellipsoid", "HPolytope",
     "ellipsoid_height", "ellipsoid_in_polytope", "ellipsoid_volume",
-    "intersect", "is_bounded", "has_interior", "min_semiaxis",
+    "intersect", "is_bounded", "min_semiaxis",
     "support_value", "transform_ellipsoid", "transform_polytope",
     "unit_ball_volume", "SolverSettings", "SolveOutcome", "lowest_ellipsoid",
-    "mvie", "polytope_volume_2d", "CriticalCertificate",
+    "mvie", "CriticalCertificate",
     "JohnDecomposition", "contact_points", "critical_subfamily",
     "inscribed_ball_in_ellipsoid", "john_decomposition",
     "normalize_to_john_position", "ColorClasses", "ColorfulSelection",

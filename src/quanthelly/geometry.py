@@ -469,11 +469,3 @@ def chebyshev_center(P: HPolytope):
 
 # A polytope has an interior when its Chebyshev margin exceeds this.
 INTERIOR_TOL = 1e-9
-
-
-def has_interior(P: HPolytope, tol: float = INTERIOR_TOL) -> bool:
-    """Strict feasibility: maximum slack margin exceeds tol.  The margin is
-    capped, so the LP always has an optimum, and an LP that does not solve
-    raises Unbounded as in ``chebyshev_center``."""
-    _, r = chebyshev_center(P)
-    return r > tol

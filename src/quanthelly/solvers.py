@@ -1,5 +1,5 @@
-"""Log-det convex programs on H-polytopes: maximum-volume inscribed ellipsoid,
-lowest ellipsoid of prescribed volume, exact 2-D area.
+"""Log-det convex programs on H-polytopes: maximum-volume inscribed ellipsoid
+and lowest ellipsoid of prescribed volume.
 
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
@@ -25,14 +25,13 @@ import math
 import numbers
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from numpy.linalg import _umath_linalg as _lapack
 
-from .errors import (CertificateFailed, DimensionMismatch, EmptyInterior,
-                     MaxIterations, Unbounded, VolumeInfeasible)
+from .errors import (CertificateFailed, EmptyInterior, MaxIterations,
+                     Unbounded, VolumeInfeasible)
 from .geometry import (ACTIVE_SLACK_TOL, AGREEMENT_TOL, Ellipsoid, HPolytope,
                        _bounded_margin, chebyshev_center, ellipsoid_gap,
-                       ellipsoid_height, ellipsoid_volume, is_bounded,
-                       unit_ball_volume)
+                       ellipsoid_height, ellipsoid_volume, unit_ball_volume)
 
 # Duality-gap target for the barrier path; well below the volume-gap contract.
 _GAP_TARGET = 1e-8
@@ -171,9 +170,12 @@ _sym_space = functools.lru_cache(maxsize=None)(_SymSpace)
 # ---------------------------------------------------------------------------
 # Row-wise kernels over a stack of problems.  Each one makes, per row, the
 # BLAS/LAPACK call or the last-axis reduction a lone problem makes, so the
-# numbers of a row do not depend on the rows beside it.  Per-problem control
-# values (decrements, step counts, Armijo tests) are Python floats: the same
-# IEEE operations as NumPy scalars, without a NumPy call per decision.
+# numbers of a row do not depend on the rows beside it.  The LAPACK calls are
+# the gufuncs behind np.linalg, with its bits; a row that LAPACK cannot
+# factor shows as a NaN factor in that row, not as an exception for the
+# stack.  Per-problem control values (decrements, step counts, Armijo tests)
+# are Python floats: the same IEEE operations as NumPy scalars, without a
+# NumPy call per decision.
 
 
 def _take(cache: tuple, rows) -> tuple:
@@ -190,43 +192,42 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _factorable(B: np.ndarray) -> np.ndarray:
-    """Row mask: which matrices of the stack have a Cholesky factor, one
-    factorization at a time (a stacked one raises if any matrix fails)."""
-    ok = np.ones(len(B), dtype=bool)
-    for i, Bi in enumerate(B):
-        try:
-            np.linalg.cholesky(Bi)
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return ok
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Row-wise lower Cholesky factors.  A matrix without one gets a factor
+    that is NaN throughout, and a NaN entry of a symmetric matrix reaches
+    its factor's last diagonal entry, so ``isnan(L[:, -1, -1])`` marks the
+    rows that have no factor."""
+    with np.errstate(invalid="ignore"):
+        return _lapack.cholesky_lo(M)
+
+
+def _cholesky_solve(L: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise solutions of L L^T delta = -g."""
+    y = _lapack.solve(L, -g[:, :, None])
+    return _lapack.solve(L.transpose(0, 2, 1), y)[:, :, 0]
 
 
 def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solutions of H delta = -g by Cholesky for a stack.  When a
-    factorization fails, each row is solved on its own and retries with
-    growing diagonal jitter; a row whose retries all fail gets delta = 0,
-    whose zero Newton decrement ends its centering.  H holds no -0.0 (it
-    is summed onto +0.0), so H is bitwise the H + 0 I a retry starts from."""
-    try:
-        L = np.linalg.cholesky(H)
-        y = np.linalg.solve(L, -g[:, :, None])
-        return np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    p = H.shape[1]
+    """Solutions of H delta = -g by Cholesky for a stack.  A row whose
+    factorization fails is solved again on its own with growing diagonal
+    jitter, while the other rows keep their stacked solution; a row whose
+    retries all fail gets delta = 0, whose zero Newton decrement ends its
+    centering."""
+    L = _cholesky(H)
+    failed = np.isnan(L[:, -1, -1])
+    if not failed.any():
+        return _cholesky_solve(L, g)
     delta = np.zeros_like(g)
-    for i in range(len(g)):
-        jitter = 0.0
-        scale = max(float(np.trace(H[i])) / p, 1e-12)
-        for _ in range(6):
-            try:
-                L = np.linalg.cholesky(H[i] + jitter * np.eye(p))
-                y = np.linalg.solve(L, -g[i])
-                delta[i] = np.linalg.solve(L.T, y)
+    delta[~failed] = _cholesky_solve(L[~failed], g[~failed])
+    p = H.shape[1]
+    for i in np.flatnonzero(failed).tolist():
+        jitter = max(float(np.trace(H[i])) / p, 1e-12) * 1e-12
+        for _ in range(5):
+            L = _cholesky(H[i:i + 1] + jitter * np.eye(p))
+            if not np.isnan(L[0, -1, -1]):
+                delta[i] = _cholesky_solve(L, g[i:i + 1])[0]
                 break
-            except np.linalg.LinAlgError:
-                jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
+            jitter *= 100.0
     return delta
 
 
@@ -267,13 +268,14 @@ class _Barrier:
             sub.W = self.W[rows]
         return sub
 
-    def eval(self, x):
-        """Returns (ok, cache): ok lists which rows of x lie inside the domain
-        and the cache holds those rows.  A row is inside when B has a
-        Cholesky factor, every slack and |B a_i| is positive, and the
-        objective's own domain test passes; the last runs on the rows that
-        pass the others."""
-        A, b = self.A, self.b
+    def eval(self, x, rows=slice(None)):
+        """Returns (ok, cache) for x at the problems ``rows`` (every problem
+        by default): ok lists which rows of x lie inside the domain and the
+        cache holds those rows.  A row is inside when every slack and
+        |B a_i| is positive, B has a Cholesky factor, and the objective's
+        own domain test passes; the last runs on the rows that pass the
+        others."""
+        A, b = self.A[rows], self.b[rows]
         pB = self.sym.p
         B = self.sym.mat(x[:, :pB])
         c = x[:, pB:]
@@ -281,19 +283,17 @@ class _Barrier:
         # np.linalg.norm(V, axis=2), without its dispatch
         n = np.sqrt(np.add.reduce(V * V, axis=2))
         s = b - _matvec(A, c) - n
-        # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons do)
-        ok = ~(np.fmin(n, s) <= 0.0).any(axis=1)
-        try:
-            np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            ok &= _factorable(B)
+        # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons
+        # do), and no NaN factor
+        ok = ~((np.fmin(n, s) <= 0.0).any(axis=1)
+               | np.isnan(_cholesky(B)[:, -1, -1]))
         # the row tests run on lists: a NumPy reduction costs more at this size
         okl = ok.tolist()
         if not all(okl):
             if not any(okl):
                 return okl, ()
             B, c, V, n, s = B[ok], c[ok], V[ok], n[ok], s[ok]
-        _, logdet = np.linalg.slogdet(B)
+        _, logdet = _lapack.slogdet(B)
         state, in_domain = self.objective.state(B, c, logdet)
         cache = (B, V, n, s) + state
         if in_domain is not None and not all(in_domain.tolist()):
@@ -309,7 +309,7 @@ class _Barrier:
     def grad_hess(self, cache, t):
         B, V, n, s = cache[:4]
         N, pB = len(s), self.sym.p
-        Binv = np.linalg.inv(B)
+        Binv = _lapack.inv(B)
         g, HB = self.objective.grad_hess(B, cache[5:], Binv, t)
         q = np.einsum('nkmd,nmd->nkm', self.W, V) / n[:, None, :]
         G = np.concatenate([q, self.At], axis=1)
@@ -402,7 +402,7 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     step = 1.0
     while look and step >= 1e-12:
         cand = x[look] + step * delta[look]
-        ok, cc = (prob if len(look) == len(x) else prob.take(look)).eval(cand)
+        ok, cc = prob.eval(cand, look if len(look) < len(x) else slice(None))
         vals = iter(prob.value(cc, t).tolist() if cc else ())
         fc = [next(vals) if o else None for o in ok]
         good = [v is not None and v <= f[i] + 0.25 * step * gd[i]
@@ -675,44 +675,3 @@ def lowest_ellipsoid(P: HPolytope, target_volume: float,
         raise CertificateFailed("lowest ellipsoid disagrees with MVIE of the "
                                 f"slab (gap {gap:.3e})")
     return out
-
-
-# ---------------------------------------------------------------------------
-# 2-D volume
-
-
-def polytope_vertices_2d(P: HPolytope, tol: float = 1e-9) -> np.ndarray:
-    """Vertices of a bounded 2-D polytope via pairwise line intersection."""
-    if P.dim != 2:
-        raise DimensionMismatch("vertex enumeration implemented for d=2 only")
-    A, b = P.A, P.b
-    m = A.shape[0]
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.array([A[i], A[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            p = np.linalg.solve(M, np.array([b[i], b[j]]))
-            if np.all(A @ p <= b + tol):
-                pts.append(p)
-    if not pts:
-        return np.empty((0, 2))
-    return np.array(pts)
-
-
-def polytope_volume_2d(P: HPolytope) -> float:
-    """Exact area of a bounded 2-D polytope (vertex enumeration + hull)."""
-    if P.dim != 2:
-        raise DimensionMismatch("polytope_volume_2d requires d=2")
-    if not is_bounded(P):
-        raise Unbounded("polytope_volume_2d requires a bounded polytope")
-    pts = polytope_vertices_2d(P)
-    if pts.shape[0] < 3:
-        return 0.0
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return 0.0
-    return float(hull.volume)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from quanthelly import (AffineMap, Ellipsoid, HPolytope,
                         ellipsoid_height, ellipsoid_in_polytope,
-                        ellipsoid_volume, has_interior, intersect, is_bounded,
-                        min_semiaxis, support_value, transform_ellipsoid,
-                        transform_polytope, unit_ball_volume)
+                        ellipsoid_volume, intersect, is_bounded, min_semiaxis,
+                        support_value, transform_ellipsoid, transform_polytope,
+                        unit_ball_volume)
 from quanthelly import geometry
 from quanthelly.errors import DegenerateInput, DimensionMismatch, Unbounded
-from quanthelly.geometry import (NORM_TOL, chebyshev_center, intersect_all,
-                                 polytope_slacks)
+from quanthelly.geometry import (INTERIOR_TOL, NORM_TOL, chebyshev_center,
+                                 intersect_all, polytope_slacks)
 
 from _oracles import sample_ellipsoid_points, support_oracle
 
@@ -305,15 +305,15 @@ def test_chebyshev_center_of_box():
     assert r == pytest.approx(1.0, abs=1e-9)
 
 
-def test_has_interior_detects_degenerate_slab():
+def test_chebyshev_margin_detects_degenerate_slab():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = np.array([1.0, -1.0, 1.0, 1.0])  # x == 1 slab
     P = HPolytope(A, b)
-    assert not has_interior(P)
-    assert has_interior(HPolytope.box([1.0, 1.0]))
+    assert not chebyshev_center(P)[1] > INTERIOR_TOL
+    assert chebyshev_center(HPolytope.box([1.0, 1.0]))[1] > INTERIOR_TOL
 
 
-def test_has_interior_raises_when_chebyshev_lp_fails(monkeypatch):
+def test_chebyshev_center_raises_when_lp_fails(monkeypatch):
     # The Chebyshev LP caps the radius, so it always has an optimum; a status
     # other than 0 is a solver failure, not evidence of an interior.
     lp = geometry._lp
@@ -323,7 +323,7 @@ def test_has_interior_raises_when_chebyshev_lp_fails(monkeypatch):
 
     monkeypatch.setattr(geometry, "_lp", failed)
     with pytest.raises(Unbounded):
-        has_interior(HPolytope.box([1.0, 1.0]))
+        chebyshev_center(HPolytope.box([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

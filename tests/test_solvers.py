@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from quanthelly import (AffineMap, HPolytope, SolverSettings,
                         ellipsoid_in_polytope, ellipsoid_volume, is_bounded,
-                        lowest_ellipsoid, mvie, polytope_volume_2d,
-                        transform_ellipsoid, transform_polytope)
+                        lowest_ellipsoid, mvie, transform_ellipsoid,
+                        transform_polytope)
 from quanthelly import geometry, solvers
 from quanthelly.errors import (CertificateFailed, EmptyInterior,
                                MaxIterations, Unbounded, VolumeInfeasible)
@@ -215,8 +215,8 @@ def test_batch_outcomes_equal_lone_solves(rng, monkeypatch, d, objective):
     left_domain = []
     eval_ = _Barrier.eval
 
-    def watching_eval(self, x):
-        ok, cache = eval_(self, x)
+    def watching_eval(self, x, *rows):
+        ok, cache = eval_(self, x, *rows)
         left_domain.append(not all(ok))
         return ok, cache
 
@@ -358,9 +358,10 @@ def test_lowest_volume_infeasible():
 
 
 def test_newton_direction_fallback_rows():
-    # A stack whose stacked Cholesky fails is solved row by row: a positive
-    # definite row as in a batch of one, a rank-one row after a jitter
-    # retry, and an indefinite row, whose retries all fail, as zero.
+    # Beside rows whose Cholesky factor fails, a positive definite row keeps
+    # its stacked solution, as in a batch of one; a rank-one row is solved
+    # after a jitter retry, as in a batch of one, and an indefinite row,
+    # whose retries all fail, as zero.
     rng = np.random.default_rng(3)
     p = 5
     M = rng.normal(size=(p, p))
@@ -374,7 +375,43 @@ def test_newton_direction_fallback_rows():
     alone = solvers._newton_directions(H[:1], g[:1])
     assert delta[0].tobytes() == alone[0].tobytes()
     assert np.isfinite(delta[1]).all() and delta[1].any()
+    jittered = solvers._newton_directions(H[1:2], g[1:2])
+    assert delta[1].tobytes() == jittered[0].tobytes()
     assert delta[2].tobytes() == np.zeros(p).tobytes()
+
+
+@pytest.mark.parametrize("objective", [_LogDet(2), _Height(2, -5.0)],
+                         ids=["mvie", "lowest"])
+def test_eval_row_mask_matches_lone_evals(objective):
+    # One stack: a row inside the domain, a row whose B is indefinite while
+    # its slacks and |B a_i| are positive (only the factor test rejects it),
+    # a row outside by slack, and a row whose B holds a NaN.  Each row's
+    # verdict and cache are those of its lone eval, bit for bit.
+    box = HPolytope.box([1.0, 1.0])
+    indefinite = np.diag([0.5, -0.5])
+    rows = [(0.5 * np.eye(2), [0.1, -0.2]), (indefinite, [0.0, 0.0]),
+            (0.5 * np.eye(2), [0.9, 0.0]),
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), [0.0, 0.0])]
+    sym = solvers._sym_space(2)
+    x = np.stack([np.concatenate([sym.coords(B), c]) for B, c in rows])
+    prob = _Barrier(np.stack([box.A] * 4), np.stack([box.b] * 4), objective)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(indefinite)
+    n = np.linalg.norm(box.A @ indefinite, axis=1)      # slacks b - n
+    assert ((0.0 < n) & (n < box.b)).all()
+    ok, cache = prob.eval(x)
+    assert ok == [True, False, False, False]
+    lone = [prob.take([i]).eval(x[i:i + 1]) for i in range(4)]
+    assert [o for o, _ in lone] == [[True], [False], [False], [False]]
+    assert all(c == () for _, c in lone[1:])
+    assert len(cache) == len(lone[0][1])
+    for a, b in zip(cache, lone[0][1]):
+        assert a.tobytes() == b.tobytes()
+    # the rows of a parent read as a stack of those rows
+    ok_rows, cache_rows = prob.eval(x[[2, 0]], [2, 0])
+    assert ok_rows == [False, True]
+    for a, b in zip(cache_rows, cache):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_lowest_checks_target_then_boundedness():
@@ -457,7 +494,7 @@ def test_mvie_monotone_under_added_constraint(seed):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev margin and 2-D area
+# Chebyshev margin
 
 
 def test_chebyshev_margin_signals_feasibility():
@@ -466,11 +503,6 @@ def test_chebyshev_margin_signals_feasibility():
     empty = HPolytope(
         np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
     assert chebyshev_center(empty)[1] < -DEFAULT_SETTINGS.feasibility_tol
-
-
-def test_polytope_volume_2d_fixtures():
-    assert polytope_volume_2d(HPolytope.box([1.0, 1.0])) == pytest.approx(4.0)
-    assert polytope_volume_2d(triangle_polytope()) == pytest.approx(0.5)
 
 
 def test_slice_below_appends_height_row():
