@@ -34,8 +34,9 @@ one line: its label, the exit code, the sha256 of the report with every
 its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
-``run colell`` or ``run saxuso`` line, and on the ``ell-d2`` inputs each
-``run ell`` line, is followed by a ``work`` line with the number of LPs the
+``run colell`` or ``run saxuso`` line, on the ``ell-d2`` inputs each
+``run ell`` line, and on the ``theorem1-d2`` inputs each ``run theorem1``
+line, is followed by a ``work`` line with the number of LPs the
 invocation solved (parsing included) and of the stacked Newton systems the
 barrier engine solved, with their total rows (calls of
 ``solvers._newton_directions``), so that a change in the work a pipeline
@@ -82,7 +83,7 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
 WORKLOAD_SEEDS = (1, 2, 3)
 # (input label prefix, command) of the invocations that print a ``work`` line
 WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
-        ("ell-d2-", ["run", "ell"]))
+        ("ell-d2-", ["run", "ell"]), ("theorem1-d2-", ["run", "theorem1"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]

@@ -42,6 +42,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-feas", type=_tolerance, default=1e-9,
@@ -51,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "not yet enforced)")
     common.add_argument("--skip-hypothesis-check", action="store_true",
                         help="skip the combinatorial hypothesis verification")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_thread_count, default=1,
                         help="accepted for compatibility; selection sweeps "
                              "run serially and reports never depend on it")
     common.add_argument("--out", type=str, default=None,

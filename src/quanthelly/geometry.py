@@ -11,12 +11,8 @@ import threading
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:  # private, from scipy 1.15: HiGHS without linprog's per-call wrapper
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
+# private, from scipy 1.15: HiGHS without linprog's per-call wrapper
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import DegenerateInput, DimensionMismatch, Unbounded
 
@@ -286,12 +282,11 @@ def _lp_options():
     return opts
 
 
-if _highs is not None:
-    _LP_OPTIONS = _lp_options()
-    _MS = _highs.HighsModelStatus
-    # HiGHS model status to linprog status, as scipy maps it; any other is 4
-    _LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
-                  _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
+_LP_OPTIONS = _lp_options()
+_MS = _highs.HighsModelStatus
+# HiGHS model status to linprog status, as scipy maps it; any other is 4
+_LP_STATUS = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1,
+              _MS.kInfeasible: 2, _MS.kModelError: 2, _MS.kUnbounded: 3}
 _THREAD = threading.local()
 
 
@@ -314,13 +309,8 @@ def _lp(c, A, b, lb, ub):
 
     HiGHS is called directly, with the model, options and post-solve check
     of linprog(method="highs"), so status, x, fun and row_dual are bitwise
-    linprog's.  Without scipy's private HiGHS module (scipy < 1.15) linprog
-    is called.
+    linprog's.
     """
-    if _highs is None:
-        res = linprog(c, A_ub=A, b_ub=b, bounds=np.column_stack([lb, ub]),
-                      method="highs")
-        return res.status, res.x, res.fun, res.ineqlin.marginals
     m, n = A.shape
     lp = _highs.HighsLp()  # kHighsInf is inf, so bounds pass through as is
     lp.num_col_ = n

@@ -5,8 +5,9 @@ Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
 (Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
 stack of problems at once: ``_solve_stacked`` takes each stack from its
-start points through the t schedule, retiring problems that fail, to its
-outcomes.  ``mvie_batch`` takes a sequence of polytopes and
+start points through the t schedule to its outcomes; a problem that fails
+keeps its stack row and only leaves the working rows, and an eval cache
+holds every row.  ``mvie_batch`` takes a sequence of polytopes and
 ``lift_to_target`` lifts its outcomes to lowest ellipsoids.  ``mvie`` is a
 stack of one behind a boundedness check read from the Chebyshev LP that also
 starts it, and ``lowest_ellipsoid`` lifts its own ``mvie`` (see
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import numbers
 
@@ -178,10 +178,6 @@ _sym_space = functools.lru_cache(maxsize=None)(_SymSpace)
 # NumPy call per decision.
 
 
-def _take(cache: tuple, rows) -> tuple:
-    return tuple(a[rows] for a in cache)
-
-
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise A_n @ x_n: one BLAS gemv per row, as a lone ``A @ x``."""
     return (A @ x[..., None])[..., 0]
@@ -244,7 +240,10 @@ class _Barrier:
     B-block Hessian and number of barrier terms, row by row; this class owns
     the containment term shared by every objective.  An eval cache is a
     tuple of row-stacked arrays (B, V, n, s, sum log s, *objective state),
-    where the objective state starts with log det B.
+    where the objective state starts with log det B.  It holds every row of
+    its x; a row outside the domain holds whatever its arithmetic gave (NaN,
+    infinities) and is never read.  A problem keeps its stack row for the
+    life of the stack, and ``rows`` arguments index stack rows.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, objective):
@@ -261,20 +260,12 @@ class _Barrier:
     def W(self) -> np.ndarray:
         return self.sym.basis_apply(self.A)
 
-    def take(self, rows) -> "_Barrier":
-        """The problems at ``rows``, with their rows of a built ``W``."""
-        sub = _Barrier(self.A[rows], self.b[rows], self.objective)
-        if "W" in self.__dict__:
-            sub.W = self.W[rows]
-        return sub
-
     def eval(self, x, rows=slice(None)):
         """Returns (ok, cache) for x at the problems ``rows`` (every problem
-        by default): ok lists which rows of x lie inside the domain and the
-        cache holds those rows.  A row is inside when every slack and
+        by default): ok lists which rows of x lie inside the domain, and the
+        cache holds every row of x.  A row is inside when every slack and
         |B a_i| is positive, B has a Cholesky factor, and the objective's
-        own domain test passes; the last runs on the rows that pass the
-        others."""
+        own domain test passes."""
         A, b = self.A[rows], self.b[rows]
         pB = self.sym.p
         B = self.sym.mat(x[:, :pB])
@@ -283,43 +274,37 @@ class _Barrier:
         # np.linalg.norm(V, axis=2), without its dispatch
         n = np.sqrt(np.add.reduce(V * V, axis=2))
         s = b - _matvec(A, c) - n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            no_factor = np.isnan(_lapack.cholesky_lo(B)[:, -1, -1])
+            _, logdet = _lapack.slogdet(B)
+            slog = np.add.reduce(np.log(s), axis=1)
         # no n_i <= 0 and no s_i <= 0 (fmin skips a NaN as the comparisons
         # do), and no NaN factor
-        ok = ~((np.fmin(n, s) <= 0.0).any(axis=1)
-               | np.isnan(_cholesky(B)[:, -1, -1]))
-        # the row tests run on lists: a NumPy reduction costs more at this size
-        okl = ok.tolist()
-        if not all(okl):
-            if not any(okl):
-                return okl, ()
-            B, c, V, n, s = B[ok], c[ok], V[ok], n[ok], s[ok]
-        _, logdet = _lapack.slogdet(B)
+        ok = ~((np.fmin(n, s) <= 0.0).any(axis=1) | no_factor)
         state, in_domain = self.objective.state(B, c, logdet)
-        cache = (B, V, n, s) + state
-        if in_domain is not None and not all(in_domain.tolist()):
-            ok[ok] = in_domain
-            okl = ok.tolist()
-            cache = _take(cache, in_domain)
-        slog = np.add.reduce(np.log(cache[3]), axis=1)
-        return okl, cache[:4] + (slog,) + cache[4:]
+        if in_domain is not None:
+            ok &= in_domain
+        return ok.tolist(), (B, V, n, s, slog) + state
 
     def value(self, cache, t):
         return self.objective.value(cache[5:], t) - cache[4]
 
-    def grad_hess(self, cache, t):
-        B, V, n, s = cache[:4]
+    def grad_hess(self, cache, t, rows=slice(None)):
+        """(g, H) at the rows ``rows`` of the cache, all inside the domain."""
+        B, V, n, s, _, *state = (a[rows] for a in cache)
         N, pB = len(s), self.sym.p
+        W = self.W[rows]
         Binv = _lapack.inv(B)
-        g, HB = self.objective.grad_hess(B, cache[5:], Binv, t)
-        q = np.einsum('nkmd,nmd->nkm', self.W, V) / n[:, None, :]
-        G = np.concatenate([q, self.At], axis=1)
+        g, HB = self.objective.grad_hess(B, state, Binv, t)
+        q = np.einsum('nkmd,nmd->nkm', W, V) / n[:, None, :]
+        G = np.concatenate([q, self.At[rows]], axis=1)
         g += _matvec(G, 1.0 / s)
         H = np.zeros((N, self.p, self.p))
         H[:, :pB, :pB] += HB
         Gs = G / s[:, None, :]
         H += Gs @ Gs.transpose(0, 2, 1)
         rw = np.sqrt(1.0 / (n * s))
-        Ws = (self.W * rw[:, None, :, None]).reshape(N, pB, -1)
+        Ws = (W * rw[:, None, :, None]).reshape(N, pB, -1)
         qw = q * rw[:, None, :]
         H[:, :pB, :pB] += (Ws @ Ws.transpose(0, 2, 1)
                            - qw @ qw.transpose(0, 2, 1))
@@ -369,8 +354,10 @@ class _Height:
 
     def value(self, state, t):
         _, u, _, height = state
-        # math.log, not np.log: the two differ in the last bit for some u
-        return t * height - np.array([math.log(v) for v in u.tolist()])
+        # math.log, not np.log: the two differ in the last bit for some u;
+        # a row with u <= 0 lies outside the domain and reads NaN
+        return t * height - np.array([math.log(v) if v > 0.0 else math.nan
+                                      for v in u.tolist()])
 
     def grad_hess(self, B, state, Binv, t):
         _, u, ne, _ = state
@@ -403,20 +390,18 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     while look and step >= 1e-12:
         cand = x[look] + step * delta[look]
         ok, cc = prob.eval(cand, look if len(look) < len(x) else slice(None))
-        vals = iter(prob.value(cc, t).tolist() if cc else ())
-        fc = [next(vals) if o else None for o in ok]
-        good = [v is not None and v <= f[i] + 0.25 * step * gd[i]
-                for v, i in zip(fc, look)]
+        fc = prob.value(cc, t).tolist()
+        good = [o and v <= f[i] + 0.25 * step * gd[i]
+                for o, v, i in zip(ok, fc, look)]
         pos = [j for j, gj in enumerate(good) if gj]
         if len(pos) == len(x):                # every row, at the full step
             f[:] = fc
             return cand, cc, [True] * len(x)
         if pos:
             hit = [look[j] for j in pos]
-            rank = list(itertools.accumulate(ok))  # cc holds the ok rows
             x[hit] = cand[pos]
             for a, v in zip(cache, cc):
-                a[hit] = v[[rank[j] - 1 for j in pos]]
+                a[hit] = v[pos]
             for j, i in zip(pos, hit):
                 moved[i] = True
                 f[i] = fc[j]
@@ -425,9 +410,10 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     return x, cache, moved
 
 
-def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
-    """Damped Newton to the analytic centers of f_t from the rows of x (with
-    their eval cache); problem i takes at most budget[i] >= 1 steps.
+def _newton_centering(prob: _Barrier, x, cache, t, budget, ws,
+                      tol=_CENTER_TOL):
+    """Damped Newton to the analytic centers of f_t from the rows ``ws`` of
+    x (with their eval cache); problem i takes at most budget[i] >= 1 steps.
     Returns (x, cache, steps).
 
     Each problem follows the iterates it follows alone: it leaves the working
@@ -440,11 +426,8 @@ def _newton_centering(prob: _Barrier, x, cache, t, budget, tol=_CENTER_TOL):
     prev_lam2 = [math.inf] * n
     steps = [0] * n
     delta, gd = np.empty_like(x), [0.0] * n
-    ws = list(range(n))
     while ws:
-        sub, cw = ((prob, cache) if len(ws) == n
-                   else (prob.take(ws), _take(cache, ws)))
-        g, H = sub.grad_hess(cw, t)
+        g, H = prob.grad_hess(cache, t, ws if len(ws) < n else slice(None))
         dw = _newton_directions(H, g)
         delta[ws] = dw
         look = []
@@ -472,56 +455,53 @@ def _solve_stacked(polytopes, objective, starts, settings):
     problem's error (None when every problem was solved).
 
     A stack's problems share m, hence one t schedule: each centering runs
-    on the problems still live, until the duality-gap bound reaches the
+    on the stack rows ``live``, until the duality-gap bound reaches the
     target.  A problem retires with MaxIterations when its start lies outside
-    the domain or its budget of Newton steps is spent, and the others go on.
-    An outcome's objective is log det B, its KKT bound is the gap plus
-    |grad f_t| / t at the final t, and its active set is the near-zero
-    slacks."""
+    the domain or its budget of Newton steps is spent: it leaves ``live``,
+    while its row stays in the stack, and the others go on.  An outcome's
+    objective is log det B, its KKT bound is the gap plus |grad f_t| / t at
+    the final t, and its active set is the near-zero slacks."""
     out = [None] * len(polytopes)
     errors = [None] * len(polytopes)
     groups = {}
     for i, P in enumerate(polytopes):
         groups.setdefault(P.A.shape, []).append(i)
-    for (_, d), live in groups.items():
-        prob = _Barrier(np.stack([polytopes[i].A for i in live]),
-                        np.stack([polytopes[i].b for i in live]), objective(d))
-        B0 = np.stack([starts[i][0] for i in live])
-        c0 = np.stack([starts[i][1] for i in live])
+    for (_, d), index in groups.items():
+        prob = _Barrier(np.stack([polytopes[i].A for i in index]),
+                        np.stack([polytopes[i].b for i in index]),
+                        objective(d))
+        B0 = np.stack([starts[i][0] for i in index])
+        c0 = np.stack([starts[i][1] for i in index])
         x = np.concatenate([prob.sym.coords(B0), c0], axis=1)
         ok, cache = prob.eval(x)
+        live = list(range(len(index)))
         gone, why = [not o for o in ok], "barrier start point left the domain"
-        left = [settings.max_iterations] * len(live)
+        left = [settings.max_iterations] * len(index)
         t, final = 1.0, False
         while True:
-            if any(gone):
-                for i, gk in zip(live, gone):
-                    if gk:
-                        errors[i] = MaxIterations(why)
-                keep = [k for k, gk in enumerate(gone) if not gk]
-                live, left = [live[k] for k in keep], [left[k] for k in keep]
-                if not live:
-                    break
-                # the start's cache already holds only the rows inside
-                if len(cache[0]) > len(keep):
-                    cache = _take(cache, keep)
-                x, prob = x[keep], prob.take(keep)
+            for k in live:
+                if gone[k]:
+                    errors[index[k]] = MaxIterations(why)
+            live = [k for k in live if not gone[k]]
+            if not live:
+                break
             if final:
-                g, _ = prob.grad_hess(cache, t)
+                g, _ = prob.grad_hess(cache, t, live)
                 kkt = prob.n_barrier_terms / t + np.sqrt(_rowdot(g, g)) / t
-                for j, i in enumerate(live):
-                    B, s, logdet = cache[0][j], cache[3][j], cache[5][j]
+                for j, k in enumerate(live):
+                    B, s, logdet = cache[0][k], cache[3][k], cache[5][k]
                     active = tuple(
                         int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-                    out[i] = SolveOutcome(Ellipsoid(B, x[j, prob.sym.p:]),
-                                          float(logdet), float(kkt[j]), active)
+                    out[index[k]] = SolveOutcome(
+                        Ellipsoid(B, x[k, prob.sym.p:]), float(logdet),
+                        float(kkt[j]), active)
                 break
             # Intermediate centerings only need to stay in the region of
             # quadratic convergence; the tight tolerance is reserved for the
             # final t.
             final = prob.n_barrier_terms / t <= settings.gap_target
             x, cache, steps = _newton_centering(
-                prob, x, cache, t, left, _CENTER_TOL if final else 1e-3)
+                prob, x, cache, t, left, live, _CENTER_TOL if final else 1e-3)
             left = [n - s for n, s in zip(left, steps)]
             # A problem whose budget is spent ended its centering without a
             # decrement test at its last iterate, at the final t as at any

@@ -266,6 +266,13 @@ def test_invalid_tolerance_exit_4(nested_instance, flag, value):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_thread_count_below_one_exit_4(nested_instance, value):
+    code, _ = run_cli(["run", "colell", nested_instance, "--threads", value,
+                       "--out", "/dev/null"])
+    assert code == EXIT_INPUT
+
+
 def test_valid_feasibility_tolerance_is_honoured(tmp_path):
     # The first body's Chebyshev margin is 1.029: a feasibility tolerance
     # above it makes the interior empty, one below it does not.

@@ -2,7 +2,6 @@
 status, solution, objective and row duals."""
 import numpy as np
 import pytest
-import scipy
 from scipy.optimize import linprog
 
 from quanthelly import HPolytope, geometry, helly, is_bounded
@@ -99,21 +98,6 @@ def test_lp_matches_linprog_bitwise(corpus):
     # each HiGHS object is reused across LPs; the order must not matter
     assert [_bits(geometry._lp(*lp)) for lp in corpus[::-1]] \
         == expected[::-1]
-
-
-def test_direct_highs_path_is_in_use():
-    # A scipy that renames its private HiGHS module would silently select
-    # the linprog fallback: same bits, about three times the LP cost.
-    if tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15):
-        assert geometry._highs is not None
-
-
-def test_linprog_fallback_gives_the_same_bits(corpus, monkeypatch):
-    direct = [_bits(geometry._lp(*lp)) for lp in corpus]
-    monkeypatch.setattr(geometry, "_highs", None)
-    assert [_bits(geometry._lp(*lp)) for lp in corpus] == direct
-    c, r = chebyshev_center(HPolytope.box([2.0, 1.0]))
-    assert r == pytest.approx(1.0) and abs(c[1]) < 1e-9
 
 
 def test_support_lp_failure_is_numerical(monkeypatch):

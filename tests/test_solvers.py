@@ -115,18 +115,27 @@ def test_sym_space_maps_match_basis_matrices(rng, d):
 
 @pytest.mark.parametrize("built", [False, True])
 def test_barrier_take_gathers_the_basis_tensor(rng, built):
-    # taking rows hands the sub-stack its rows of a built W; both routes
-    # give the bits of the tensor built on the rows' own constraints
-    d, rows = 3, [4, 1, 1]
+    # grad_hess at some stack rows reads those rows of W, built before or
+    # by the call; both routes give the bits of a stack of those rows alone
+    d, rows, t = 3, [4, 1, 1], 3.0
     A, b = rng.normal(size=(5, 7, d)), rng.uniform(1.0, 2.0, size=(5, 7))
+    R = rng.normal(size=(5, d, d))
+    B = 0.05 * np.eye(d) + 0.002 * (R + R.transpose(0, 2, 1))
+    sym = solvers._sym_space(d)
+    x = np.concatenate([sym.coords(B), 0.01 * rng.normal(size=(5, d))],
+                       axis=1)
     prob = _Barrier(A, b, _LogDet(d))
     if built:
         prob.W
-    W = prob.take(rows).W
-    expected = solvers._sym_space(d).basis_apply(A[rows])
-    assert ("W" in vars(prob)) == built
-    assert W.shape == expected.shape
-    assert W.tobytes() == expected.tobytes()
+    ok, cache = prob.eval(x)
+    assert all(ok)
+    alone = _Barrier(A[rows], b[rows], _LogDet(d))
+    ok_alone, cache_alone = alone.eval(x[rows])
+    assert all(ok_alone)
+    for got, expected in zip(prob.grad_hess(cache, t, rows),
+                             alone.grad_hess(cache_alone, t)):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +410,70 @@ def test_eval_row_mask_matches_lone_evals(objective):
     assert ((0.0 < n) & (n < box.b)).all()
     ok, cache = prob.eval(x)
     assert ok == [True, False, False, False]
-    lone = [prob.take([i]).eval(x[i:i + 1]) for i in range(4)]
+    assert all(len(a) == len(x) for a in cache)
+    lone = [prob.eval(x[i:i + 1], [i]) for i in range(4)]
     assert [o for o, _ in lone] == [[True], [False], [False], [False]]
-    assert all(c == () for _, c in lone[1:])
     assert len(cache) == len(lone[0][1])
     for a, b in zip(cache, lone[0][1]):
-        assert a.tobytes() == b.tobytes()
+        assert a[:1].tobytes() == b.tobytes()
     # the rows of a parent read as a stack of those rows
     ok_rows, cache_rows = prob.eval(x[[2, 0]], [2, 0])
     assert ok_rows == [False, True]
     for a, b in zip(cache_rows, cache):
-        assert a.tobytes() == b.tobytes()
+        assert a[1:].tobytes() == b[:1].tobytes()
+
+
+def test_height_value_is_nan_outside_the_volume_domain():
+    # u = log det B - log v0 <= 0 puts a row outside the domain: its value
+    # reads NaN, with no exception and no warning
+    box = HPolytope.box([1.0, 1.0])
+    objective = _Height(2, math.log(0.5))
+    prob = _Barrier(np.stack([box.A] * 2), np.stack([box.b] * 2), objective)
+    sym = solvers._sym_space(2)
+    x = np.stack([np.concatenate([sym.coords(r * np.eye(2)), [0.0, 0.0]])
+                  for r in (0.9, 0.5)])
+    ok, cache = prob.eval(x)
+    assert ok == [True, False] and cache[6][1] < 0.0
+    value = prob.value(cache, 2.0)
+    assert math.isfinite(value[0]) and math.isnan(value[1])
+    state = (None, np.array([1.0, 0.0, -1.0, np.nan]), None, np.ones(4))
+    assert np.isnan(objective.value(state, 2.0)).tolist() \
+        == [False, True, True, True]
+
+
+def test_solve_builds_one_barrier_per_constraint_shape(monkeypatch):
+    # A row whose start lies outside the domain and a row whose budget is
+    # spent retire from stacks that are never built again.
+    settings = SolverSettings(max_iterations=45)
+    box, long_box = HPolytope.box([1.0, 1.0]), HPolytope.box([1.0, 20.0])
+    hexagon = HPolytope([[math.cos(a), math.sin(a)]
+                         for a in np.arange(6) * math.pi / 3], np.ones(6))
+    polytopes = [box, long_box, box, hexagon, box]
+
+    def start(P):
+        return solvers._start(*chebyshev_center(P), settings)
+
+    outside = (0.9 * np.eye(2), np.array([5.0, 0.0]))
+    starts = [start(P) for P in polytopes]
+    starts[2] = outside
+    _, error = solvers._solve_stacked([box], _LogDet, [outside], settings)
+    assert str(error) == "barrier start point left the domain"
+    lone, error = mvie_batch([box], settings)
+    assert error is None
+    _, error = mvie_batch([long_box], settings)
+    assert str(error) == "barrier solver exceeded 45 Newton steps"
+    builds = []
+    init = _Barrier.__init__
+
+    def counting_init(self, A, b, objective):
+        builds.append(A.shape)
+        init(self, A, b, objective)
+
+    monkeypatch.setattr(_Barrier, "__init__", counting_init)
+    out, error = solvers._solve_stacked(polytopes, _LogDet, starts, settings)
+    assert sorted(builds) == [(1, 6, 2), (4, 4, 2)]
+    assert len(out) == 1 and _same_outcome(out[0], lone[0])
+    assert str(error) == "barrier solver exceeded 45 Newton steps"
 
 
 def test_lowest_checks_target_then_boundedness():
