@@ -3,7 +3,12 @@
 
     python3 scripts/report_digests.py > digests.txt
     python3 scripts/report_digests.py --src /path/to/other/checkout/src > other.txt
-    diff digests.txt other.txt
+    python3 scripts/report_digests.py --against /path/to/other/checkout/src
+
+``--against SRC`` runs the script twice, in two subprocesses, on ``--src``
+(this checkout's ``src/`` by default) and on SRC; it prints
+``identical (N lines)``, or a unified diff of the lines that differ and
+exits 1.
 
 Runs ``mvie``, ``lowest``, ``verify-hypothesis`` (at the instance's class
 count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on five
@@ -62,9 +67,11 @@ lines.
 """
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -284,12 +291,37 @@ def _solver_bits():
               f"{_work_line(work)}", flush=True)
 
 
+def _compare(src: str, other: str) -> int:
+    """Runs the script on src and on other side by side and prints whether
+    their outputs are identical; 1 when they differ or a run fails."""
+    runs = [subprocess.Popen([sys.executable, __file__, "--src", path],
+                             stdout=subprocess.PIPE, text=True)
+            for path in (src, other)]
+    outputs = [run.communicate()[0].splitlines() for run in runs]
+    failed = [path for path, run in zip((src, other), runs) if run.returncode]
+    if failed:
+        print(f"failed on {', '.join(failed)}")
+        return 1
+    ours, theirs = outputs
+    if ours == theirs:
+        print(f"identical ({len(ours)} lines)")
+        return 0
+    for line in difflib.unified_diff(ours, theirs, src, other, lineterm=""):
+        print(line)
+    return 1
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"),
                    help="source directory the quanthelly package is "
                         "imported from (default: this checkout's src/)")
+    p.add_argument("--against", metavar="SRC",
+                   help="compare this script's output on --src with its "
+                        "output on SRC, another checkout's src/ directory")
     args = p.parse_args(argv)
+    if args.against is not None:
+        return _compare(args.src, args.against)
     sys.path.insert(0, args.src)
     from quanthelly.cli import main as cli_main
     from quanthelly.instances import (GeneratorSpec, emit_instance, generate,

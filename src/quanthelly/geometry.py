@@ -112,6 +112,8 @@ class Ellipsoid:
         c = np.asarray(self.center, dtype=float).reshape(-1)
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] != c.shape[0]:
             raise DimensionMismatch("ellipsoid shape/center dimensions disagree")
+        if not (np.isfinite(B).all() and np.isfinite(c).all()):
+            raise DegenerateInput("ellipsoid shape and center must be finite")
         asym = np.linalg.norm(B - B.T)
         scale = max(np.linalg.norm(B), 1e-300)
         if asym / scale > 1e-10:
@@ -150,6 +152,8 @@ class AffineMap:
         s = np.asarray(self.shift, dtype=float).reshape(-1)
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] != s.shape[0]:
             raise DimensionMismatch("affine map shapes disagree")
+        if not (np.isfinite(L).all() and np.isfinite(s).all()):
+            raise DegenerateInput("affine map entries must be finite")
         sign, _ = np.linalg.slogdet(L)
         if sign == 0:
             raise DegenerateInput("affine map must be invertible")

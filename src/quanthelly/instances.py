@@ -179,13 +179,13 @@ class GeneratorSpec:
         if self.kind not in ("common-ball", "tangent-halfspaces",
                              "nested-boxes", "adversarial"):
             raise InstanceError(f"unknown generator kind '{self.kind}'")
-        if self.dimension < 1 or self.class_count < 1 \
-                or self.members_per_class < 1:
-            raise InstanceError("invalid generator parameters")
-        for name, value in (("seed", self.seed),
-                            ("halfspaces per body", self.halfspaces_per_body)):
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise InstanceError(f"{name} must be a non-negative integer, "
+        for name, least in (("seed", 0), ("dimension", 1), ("class_count", 1),
+                            ("members_per_class", 1),
+                            ("halfspaces_per_body", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= least):
+                raise InstanceError(f"{name} must be an integer >= {least}, "
                                     f"got {value!r}")
         if not (math.isfinite(self.target_volume)
                 and self.target_volume > 0.0):

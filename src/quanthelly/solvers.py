@@ -4,18 +4,20 @@ and lowest ellipsoid of prescribed volume.
 Both ellipsoid programs are solved by a log-barrier Newton scheme on the
 self-concordant formulation over (B, c) with B symmetric positive definite
 (Boyd & Vandenberghe, Convex Optimization, section 11).  One engine solves a
-stack of problems at once: ``_solve_stacked`` takes each stack from its
-start points through the t schedule to its outcomes; a problem that fails
-keeps its stack row and only leaves the working rows, and an eval cache
-holds every row.  ``mvie_batch`` takes a sequence of polytopes and
-``lift_to_target`` lifts its outcomes to lowest ellipsoids.  ``mvie`` is a
-stack of one behind a boundedness check read from the Chebyshev LP that also
-starts it, and ``lowest_ellipsoid`` lifts its own ``mvie`` (see
-``SolverSettings``).  Per-problem masks stand in for the control flow of a
-lone solve, and every row of a stacked computation makes the float
-operations of a lone solve, so each outcome is bitwise independent of the
-batch it was solved in.  Solvers are deterministic pure functions of (input,
-settings).
+stack of problems at once: ``_solve_stacked`` is the one loop of the barrier
+method (center by Newton steps, test the gap, raise t) and takes each stack
+from its start points to its outcomes; every Hessian it builds is solved,
+and each outcome's KKT bound reads the gradient of its last Newton system.
+A problem that fails keeps its stack row and only leaves the working rows,
+and an eval cache holds every row.  ``mvie_batch`` takes a sequence of
+polytopes and ``lift_to_target`` lifts its outcomes to lowest ellipsoids.
+``mvie`` is a stack of one behind a boundedness check read from the
+Chebyshev LP that also starts it, and ``lowest_ellipsoid`` lifts its own
+``mvie`` (see ``SolverSettings``).  Per-problem masks stand in for the
+control flow of a lone solve, and every row of a stacked computation makes
+the float operations of a lone solve, so each outcome is bitwise independent
+of the batch it was solved in.  Solvers are deterministic pure functions of
+(input, settings).
 """
 from __future__ import annotations
 
@@ -410,57 +412,24 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     return x, cache, moved
 
 
-def _newton_centering(prob: _Barrier, x, cache, t, budget, ws,
-                      tol=_CENTER_TOL):
-    """Damped Newton to the analytic centers of f_t from the rows ``ws`` of
-    x (with their eval cache); problem i takes at most budget[i] >= 1 steps.
-    Returns (x, cache, steps).
-
-    Each problem follows the iterates it follows alone: it leaves the working
-    rows ``ws`` when its Newton decrement is small or stalls, its Newton
-    system fails, its line search fails or its budget is spent, and the
-    others go on; only the line search moves rows of x and cache.
-    """
-    n = len(x)
-    f = prob.value(cache, t).tolist()
-    prev_lam2 = [math.inf] * n
-    steps = [0] * n
-    delta, gd = np.empty_like(x), [0.0] * n
-    while ws:
-        g, H = prob.grad_hess(cache, t, ws if len(ws) < n else slice(None))
-        dw = _newton_directions(H, g)
-        delta[ws] = dw
-        look = []
-        for i, v in zip(ws, _rowdot(g, dw).tolist()):
-            gd[i] = v
-            # (-g).delta is exactly -(g.delta): negation commutes with
-            # rounding.  Rounding floor: for huge t the decrement stops
-            # improving while the point is already essentially centered.
-            lam2 = -v
-            if not (lam2 / 2.0 <= tol
-                    or (lam2 < 1e-5 and lam2 >= 0.99 * prev_lam2[i])):
-                look.append(i)
-            prev_lam2[i] = lam2
-        x, cache, moved = _line_search(prob, x, cache, f, gd, delta, t, look)
-        for i in look:
-            steps[i] += 1
-        ws = [i for i in ws if moved[i] and steps[i] < budget[i]]
-    return x, cache, steps
-
-
 def _solve_stacked(polytopes, objective, starts, settings):
     """Barrier solves of objective(d) on each polytope from its start (B0, c0),
     one stack per constraint-matrix shape.  Returns (outcomes, error): the
     outcomes in input order up to the first problem that failed, and that
     problem's error (None when every problem was solved).
 
-    A stack's problems share m, hence one t schedule: each centering runs
-    on the stack rows ``live``, until the duality-gap bound reaches the
-    target.  A problem retires with MaxIterations when its start lies outside
-    the domain or its budget of Newton steps is spent: it leaves ``live``,
-    while its row stays in the stack, and the others go on.  An outcome's
-    objective is log det B, its KKT bound is the gap plus |grad f_t| / t at
-    the final t, and its active set is the near-zero slacks."""
+    A stack's problems share m, hence one t schedule and one loop: at each
+    t, Newton steps center the working rows ``ws`` of the stack rows ``live``
+    until the duality-gap bound reaches the target.  A row leaves ``ws`` when
+    its Newton decrement is small or stalls, when its line search does not
+    move it, or when its budget of Newton steps is spent; only the line
+    search moves rows of x and cache.  A problem retires with MaxIterations
+    when its start lies outside the domain or its budget is spent at the end
+    of a centering: it leaves ``live``, while its row stays in the stack.
+    Every other row left ``ws`` at the iterate of its last Newton system, so
+    its KKT bound, the gap plus |grad f_t| / t at the final t, reads that
+    system's gradient.  An outcome's objective is log det B and its active
+    set is the near-zero slacks."""
     out = [None] * len(polytopes)
     errors = [None] * len(polytopes)
     groups = {}
@@ -473,44 +442,70 @@ def _solve_stacked(polytopes, objective, starts, settings):
         B0 = np.stack([starts[i][0] for i in index])
         c0 = np.stack([starts[i][1] for i in index])
         x = np.concatenate([prob.sym.coords(B0), c0], axis=1)
+        n = len(x)
         ok, cache = prob.eval(x)
-        live = list(range(len(index)))
-        gone, why = [not o for o in ok], "barrier start point left the domain"
-        left = [settings.max_iterations] * len(index)
-        t, final = 1.0, False
-        while True:
-            for k in live:
-                if gone[k]:
-                    errors[index[k]] = MaxIterations(why)
-            live = [k for k in live if not gone[k]]
-            if not live:
-                break
-            if final:
-                g, _ = prob.grad_hess(cache, t, live)
-                kkt = prob.n_barrier_terms / t + np.sqrt(_rowdot(g, g)) / t
-                for j, k in enumerate(live):
-                    B, s, logdet = cache[0][k], cache[3][k], cache[5][k]
-                    active = tuple(
-                        int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
-                    out[index[k]] = SolveOutcome(
-                        Ellipsoid(B, x[k, prob.sym.p:]), float(logdet),
-                        float(kkt[j]), active)
-                break
+        live = []
+        for k, inside in enumerate(ok):
+            if inside:
+                live.append(k)
+            else:
+                errors[index[k]] = MaxIterations(
+                    "barrier start point left the domain")
+        left = [settings.max_iterations] * n
+        delta, glast, gd = np.empty_like(x), np.empty_like(x), [0.0] * n
+        t = 1.0
+        while live:
             # Intermediate centerings only need to stay in the region of
             # quadratic convergence; the tight tolerance is reserved for the
             # final t.
             final = prob.n_barrier_terms / t <= settings.gap_target
-            x, cache, steps = _newton_centering(
-                prob, x, cache, t, left, live, _CENTER_TOL if final else 1e-3)
-            left = [n - s for n, s in zip(left, steps)]
+            tol = _CENTER_TOL if final else 1e-3
+            f = prob.value(cache, t).tolist()
+            prev_lam2 = [math.inf] * n
+            ws = live
+            while ws:
+                g, H = prob.grad_hess(cache, t,
+                                      ws if len(ws) < n else slice(None))
+                dw = _newton_directions(H, g)
+                delta[ws] = dw
+                glast[ws] = g
+                look = []
+                for i, v in zip(ws, _rowdot(g, dw).tolist()):
+                    gd[i] = v
+                    # (-g).delta is exactly -(g.delta): negation commutes
+                    # with rounding.  Rounding floor: for huge t the
+                    # decrement stops improving while the point is already
+                    # essentially centered.
+                    lam2 = -v
+                    if not (lam2 / 2.0 <= tol
+                            or (lam2 < 1e-5 and lam2 >= 0.99 * prev_lam2[i])):
+                        look.append(i)
+                        left[i] -= 1
+                    prev_lam2[i] = lam2
+                x, cache, moved = _line_search(prob, x, cache, f, gd, delta,
+                                               t, look)
+                ws = [i for i in ws if moved[i] and left[i] > 0]
             # A problem whose budget is spent ended its centering without a
             # decrement test at its last iterate, at the final t as at any
             # other.
-            gone = [n == 0 for n in left]
-            why = (f"barrier solver exceeded {settings.max_iterations} "
-                   "Newton steps")
-            if not final:
-                t *= _T_GROWTH
+            for k in live:
+                if left[k] == 0:
+                    errors[index[k]] = MaxIterations(
+                        f"barrier solver exceeded {settings.max_iterations} "
+                        "Newton steps")
+            live = [k for k in live if left[k] > 0]
+            if final:
+                break
+            t *= _T_GROWTH
+        g = glast[live]
+        kkt = prob.n_barrier_terms / t + np.sqrt(_rowdot(g, g)) / t
+        for j, k in enumerate(live):
+            B, s, logdet = cache[0][k], cache[3][k], cache[5][k]
+            active = tuple(
+                int(a) for a in np.nonzero(s <= ACTIVE_SLACK_TOL)[0])
+            out[index[k]] = SolveOutcome(
+                Ellipsoid(B, x[k, prob.sym.p:]), float(logdet),
+                float(kkt[j]), active)
     for i, e in enumerate(errors):
         if e is not None:
             return out[:i], e

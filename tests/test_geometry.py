@@ -111,6 +111,20 @@ def test_ellipsoid_requires_spd_shape():
         Ellipsoid(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ellipsoid(np.full((2, 2), np.nan), [0.0, 0.0]),
+    lambda: Ellipsoid(np.eye(2), [np.nan, 0.0]),
+    lambda: Ellipsoid(np.diag([np.inf, 1.0]), [0.0, 0.0]),
+    lambda: Ellipsoid.ball([0.0, 0.0], np.nan),
+    lambda: AffineMap(np.full((2, 2), np.nan), [0.0, 0.0]),
+    lambda: AffineMap(np.eye(2), [np.nan, 0.0]),
+], ids=["ellipsoid-nan-shape", "ellipsoid-nan-center", "ellipsoid-inf-shape",
+        "ball-nan-radius", "map-nan-linear", "map-nan-shift"])
+def test_non_finite_entries_are_rejected(make):
+    with pytest.raises(DegenerateInput, match="finite"):
+        make()
+
+
 def test_unit_ball_volume_values():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)

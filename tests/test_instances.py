@@ -91,6 +91,38 @@ def test_invalid_json_and_missing_fields(tmp_path):
         parse_instance(path)
 
 
+def _with_classes(classes):
+    doc = json.loads(minimal_instance_text())
+    doc["classes"] = classes
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "top-level document must be an object"),
+    (dict(json.loads(minimal_instance_text()), dimension=0),
+     "'dimension' must be positive"),
+    (_with_classes([]), "'classes' must be a non-empty list"),
+    (_with_classes({}), "'classes' must be a non-empty list"),
+    (_with_classes([[]]), "classes[0] must be a non-empty list"),
+    (_with_classes([[[]]]),
+     "classes[0][0] must be a non-empty list of constraints"),
+    (_with_classes([[{}]]),
+     "classes[0][0] must be a non-empty list of constraints"),
+    (_with_classes([[[1]]]), "classes[0][0][0] must be an object"),
+    (_with_classes([[[{"b": 1.0}]]]), "classes[0][0][0] is missing field 'a'"),
+    (_with_classes([[[{"a": [1.0, 0.0, 0.0], "b": 1.0}]]]),
+     "classes[0][0][0].a must be a list of 2 numbers"),
+], ids=["top-level-list", "dimension-zero", "classes-empty-list",
+        "classes-object", "class-empty", "body-empty-list", "body-object",
+        "constraint-number", "constraint-without-a", "a-too-long"])
+def test_malformed_documents_are_rejected(tmp_path, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError) as info:
+        parse_instance(path)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("dimension", [2.7, True, "2"])
 def test_dimension_must_be_a_json_integer(tmp_path, dimension):
     doc = json.loads(minimal_instance_text())
@@ -229,6 +261,20 @@ def test_generator_rejects_bad_kind_and_params():
         GeneratorSpec("common-ball", 1, 0, 5, 1)
     with pytest.raises(InstanceError):
         GeneratorSpec("common-ball", 1, 2, 5, 1, target_volume=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dimension", 2.5), ("dimension", True), ("dimension", "2"),
+    ("class_count", 5.0), ("members_per_class", 1.5),
+    ("members_per_class", True), ("seed", True), ("seed", -1),
+    ("halfspaces_per_body", 8.0), ("class_count", 0),
+])
+def test_generator_counts_must_be_integers(field, value):
+    args = {"kind": "common-ball", "seed": 1, "dimension": 2,
+            "class_count": 5, "members_per_class": 1}
+    args[field] = value
+    with pytest.raises(InstanceError, match=f"^{field} must be an integer"):
+        GeneratorSpec(**args)
 
 
 def test_tangent_halfspaces_fall_back_to_axis_tangents():

@@ -476,6 +476,50 @@ def test_solve_builds_one_barrier_per_constraint_shape(monkeypatch):
     assert str(error) == "barrier solver exceeded 45 Newton steps"
 
 
+def test_every_hessian_is_solved(monkeypatch):
+    # Every Newton system the engine builds is solved: the KKT bound reads
+    # the gradient of each problem's last system, so no Hessian is built
+    # only to be dropped, in a stack with a budget-retired row as in one
+    # without.
+    settings = SolverSettings(max_iterations=45)
+    box, long_box = HPolytope.box([1.0, 1.0]), HPolytope.box([1.0, 20.0])
+    hexagon = HPolytope([[math.cos(a), math.sin(a)]
+                         for a in np.arange(6) * math.pi / 3], np.ones(6))
+    polytopes = [box, hexagon, HPolytope.box([2.0, 1.0]), long_box]
+    built, solved = [], []
+    grad_hess, directions = _Barrier.grad_hess, solvers._newton_directions
+
+    def counting_grad_hess(self, *args):
+        g, H = grad_hess(self, *args)
+        built.append(len(g))
+        return g, H
+
+    def counting_directions(H, g):
+        solved.append(len(g))
+        return directions(H, g)
+
+    monkeypatch.setattr(_Barrier, "grad_hess", counting_grad_hess)
+    monkeypatch.setattr(solvers, "_newton_directions", counting_directions)
+    batch = mvie_batch(polytopes, settings)
+    assert len(batch[0]) == 3
+    assert str(batch[1]) == "barrier solver exceeded 45 Newton steps"
+    out, error = lift_to_target(polytopes, batch, 1.0)
+    assert len(out) == 3 and error is batch[1]
+    assert built == solved and len(built) > 0
+    # each KKT bound is the gap plus |grad f_t| / t at the outcome, bitwise
+    for P, o in zip(polytopes, batch[0]):
+        prob = _Barrier(P.A[None], P.b[None], _LogDet(2))
+        E = o.ellipsoid
+        ok, cache = prob.eval(
+            np.concatenate([prob.sym.coords(E.shape), E.center])[None])
+        t = 1.0
+        while prob.n_barrier_terms / t > settings.gap_target:
+            t *= 10.0
+        g, _ = grad_hess(prob, cache, t)
+        assert ok == [True] and o.kkt_residual == float(
+            prob.n_barrier_terms / t + np.sqrt(g[0] @ g[0]) / t)
+
+
 def test_lowest_checks_target_then_boundedness():
     half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(VolumeInfeasible):
