@@ -2,15 +2,18 @@
 verification, and the constructive theorem pipelines.
 
 Every pipeline stage that visits colorful selections runs the one sweep
-``_sweep``: the selections in lexicographic order, their intersections solved
-by one ``mvie_batch`` that runs the start-point LPs in that order and then
-solves the whole sweep as stacked Newton problems.  Each outcome is bitwise
-the one a lone solve gives, and the first failure in selection order is the
-one raised.  The hypothesis check reads the MVIEs; ``colell``, ``saxuso``
-and theorem1's (2d-1)-selection stage lift them to lowest ellipsoids
-(``_lowest``).  When several lowest ellipsoids reach the greatest height
-exactly, the first selection in order defines the pipeline, so a report
-depends only on the instance and settings.
+``_sweep``, three aligned values: the selections in lexicographic order,
+their intersections, and the (outcomes, error) batch of one ``mvie_batch``
+over them, the shape ``lift_to_target`` takes and returns.  ``mvie_batch``
+runs the start-point LPs in selection order up to the first that fails and
+solves the rest as stacked Newton problems, so each outcome is bitwise the
+one a lone solve gives and the first failure in selection order is the one
+raised (``solved``).  The hypothesis check reads the MVIEs; ``colell``,
+``saxuso`` and theorem1's (2d-1)-selection stage lift them to lowest
+ellipsoids (``_lowest``) and read each one's height from the lift, which
+stores it as the outcome's objective.  When several lowest ellipsoids reach
+the greatest height exactly, the first selection in order defines the
+pipeline, so a report depends only on the instance and settings.
 """
 from __future__ import annotations
 
@@ -26,12 +29,12 @@ from .errors import (DimensionMismatch, EmptyInterior, HypothesisViolated,
                      Step3Failed, Unbounded, WitnessContainmentFailed)
 from .geometry import (AGREEMENT_TOL, INTERIOR_TOL, AffineMap, Ellipsoid,
                        HPolytope, _bounded_margin, _lp, chebyshev_center,
-                       ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_height,
-                       ellipsoid_volume, intersect_all, min_semiaxis,
-                       polytope_slacks, transform_ellipsoid,
-                       transform_polytope)
+                       ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_volume,
+                       intersect_all, min_semiaxis, polytope_slacks,
+                       transform_ellipsoid, transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
-                      mvie_batch, reaches_target, single_outcome, slice_below)
+                      mvie_batch, reaches_target, single_outcome, slice_below,
+                      solved)
 
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
@@ -145,9 +148,10 @@ def _plain(obj):
 
 
 def colorful_selections(classes: ColorClasses, k: int):
-    """All choices of k classes and one member per chosen class, lexicographic."""
+    """All choices of k classes and one member per chosen class, lexicographic.
+    Raises InstanceError unless 1 <= k <= the number of classes."""
     n = classes.n_classes
-    if k > n:
+    if not 1 <= k <= n:
         raise InstanceError(f"cannot select {k} classes out of {n}")
     sizes = classes.sizes()
     for subset in itertools.combinations(range(n), k):
@@ -173,47 +177,25 @@ def selection_intersection(classes: ColorClasses,
 
 def _sweep(classes: ColorClasses, k: int, settings: SolverSettings):
     """The MVIE sweep of the colorful k-selections, the one sweep every
-    pipeline stage runs: their intersections, in lexicographic order, solved
-    by one ``mvie_batch`` at ``_inner`` settings.  ``mvie_batch`` stops
-    iterating at a failing start LP, so the selections past it are never
-    enumerated.  Returns (solved, failure): the (selection, intersection,
-    outcome) triples before the first failure, and (selection, error) of
-    that failure, or None."""
-    sels, polytopes = [], []
-
-    def intersections():
-        for sel in colorful_selections(classes, k):
-            P = selection_intersection(classes, sel)
-            sels.append(sel)
-            polytopes.append(P)
-            yield P
-
-    outcomes, error = mvie_batch(intersections(), _inner(settings))
-    solved = list(zip(sels, polytopes, outcomes))
-    return solved, None if error is None else (sels[len(solved)], error)
-
-
-def _solved(sweep) -> list:
-    """The triples of a sweep; raises the error that ends it, if any."""
-    solved, failure = sweep
-    if failure is not None:
-        raise failure[1]
-    return solved
+    pipeline stage runs.  Returns (selections, intersections, batch): the
+    selections in lexicographic order, their intersections, and the
+    (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings returns
+    for the intersections.  The outcomes belong to the first
+    ``len(outcomes)`` selections; the error, if any, to the next one."""
+    sels = list(colorful_selections(classes, k))
+    polytopes = [selection_intersection(classes, sel) for sel in sels]
+    return sels, polytopes, mvie_batch(polytopes, _inner(settings))
 
 
 def _lowest(sweep, target_volume: float, settings: SolverSettings) -> list:
     """The lowest ellipsoids of the target volume in a sweep's
     intersections, lifted from their MVIEs (``lift_to_target``), as
-    (selection, outcome) pairs.  Raises the sweep's failure, or the lift's
-    when it comes first in selection order."""
-    solved, failure = sweep
-    lows, error = lift_to_target(
-        [P for _, P, _ in solved],
-        ([out for *_, out in solved], None if failure is None else failure[1]),
-        target_volume, _inner(settings))
-    if error is not None:
-        raise error
-    return [(sel, low) for (sel, *_), low in zip(solved, lows)]
+    (selection, outcome) pairs; each outcome's objective is its height.
+    Raises the sweep's error, or the lift's when it comes first in
+    selection order."""
+    sels, polytopes, batch = sweep
+    return list(zip(sels, solved(lift_to_target(
+        polytopes, batch, target_volume, _inner(settings)))))
 
 
 def _inner(settings: SolverSettings) -> SolverSettings:
@@ -296,19 +278,19 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
     (EmptyInterior) is a violation; any other solver error is a numerical
     failure and propagates.
     """
-    return _hypothesis_report(classes, k, _sweep(classes, k, settings),
-                              target_volume)
+    return _hypothesis_report(_sweep(classes, k, settings), target_volume)
 
 
-def _hypothesis_report(classes: ColorClasses, k: int, sweep,
-                       target_volume: float) -> HypothesisReport:
-    """The hypothesis report of an MVIE sweep of the k-selections: the scan
-    of ``verify_colorful_hypothesis``."""
-    total = selection_count(classes, k)
+def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
+    """The hypothesis report of an MVIE sweep (``_sweep``), the scan of
+    ``verify_colorful_hypothesis``: every selection is counted, and the
+    selections are scanned in order up to the one whose error ends the
+    sweep."""
+    sels, _, (outcomes, error) = sweep
+    total = len(sels)
     min_volume = None
     min_sel = None
-    solved, failure = sweep
-    for sel, _, out in solved:
+    for sel, out in zip(sels, outcomes):
         vol = out.volume
         if min_volume is None or vol < min_volume:
             min_volume, min_sel = vol, sel
@@ -316,12 +298,12 @@ def _hypothesis_report(classes: ColorClasses, k: int, sweep,
             return HypothesisReport(
                 False, total, min_volume, min_sel, sel,
                 f"ellipsoid volume {vol:.12g} below target {target_volume:.12g}")
-    if failure is None:
+    if error is None:
         return HypothesisReport(True, total, min_volume, min_sel, None, None)
-    sel, error = failure
     if not isinstance(error, EmptyInterior):
         raise error
-    return HypothesisReport(False, total, min_volume, min_sel, sel,
+    return HypothesisReport(False, total, min_volume, min_sel,
+                            sels[len(outcomes)],
                             f"{type(error).__name__}: {error}")
 
 
@@ -370,9 +352,10 @@ def colorful_helly_witness(classes: ColorClasses, L: Ellipsoid,
 
 
 def _highest(outs):
-    """The (selection, outcome) pair whose ellipsoid is highest; of several
-    at exactly that height, the first in selection order."""
-    return max(outs, key=lambda so: ellipsoid_height(so[1].ellipsoid))
+    """The (selection, outcome) pair of ``_lowest`` whose ellipsoid is
+    highest; of several at exactly that height, the first in selection
+    order."""
+    return max(outs, key=lambda so: so[1].objective)
 
 
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
@@ -400,8 +383,8 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
     _require_classes(classes, nc, "pipeline")
     sweep = _sweep(classes, nc, settings)
     if check_hypothesis:
-        _require_hypothesis(_hypothesis_report(classes, nc, sweep,
-                                               target_volume), "colorful")
+        _require_hypothesis(_hypothesis_report(sweep, target_volume),
+                            "colorful")
     return _colell(classes, target_volume, sweep, settings, t_start)
 
 
@@ -441,9 +424,8 @@ def _colell(classes: ColorClasses, target_volume: float, sweep,
         certificates={
             "target_volume": target_volume,
             "defining_selection": sel_max,
-            "e_max_height": ellipsoid_height(e_max),
-            "selection_heights": [ellipsoid_height(o.ellipsoid)
-                                  for _, o in outs],
+            "e_max_height": best.objective,
+            "selection_heights": [o.objective for _, o in outs],
             "drop_one_gaps": gaps,
         },
         wall_time=time.perf_counter() - t_start)
@@ -511,8 +493,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
     with_cut = ColorClasses(d, rem_classes.classes + ((M,),))
-    minima = [min_semiaxis(out.ellipsoid) for *_, out in
-              _solved(_sweep(with_cut, d + 2, settings))]
+    minima = [min_semiaxis(out.ellipsoid)
+              for out in solved(_sweep(with_cut, d + 2, settings)[2])]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",
@@ -536,7 +518,7 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
             "target_volume": target_volume,
             "defining_selection": sel_star,
             "e_star": e_star,
-            "e_star_height": ellipsoid_height(e_star),
+            "e_star_height": best.objective,
             "cut_mvie_gap": m_gap,
             "common_radius": r,
             "selection_min_semiaxes": minima,
@@ -561,7 +543,7 @@ def saxuso_scenario(classes: ColorClasses,
         classes, 2 * classes.dim, 1.0, settings),
         "2d-selection") if check_hypothesis else None
     sweep = _sweep(classes, nc, settings)
-    v = min(out.volume for *_, out in _solved(sweep))
+    v = min(out.volume for out in solved(sweep[2]))
     report = _colell(classes, v * (1.0 - 1e-9), sweep, settings, t_start)
     certs = dict(report.certificates, worst_selection_volume=v,
                  hypothesis_min_volume=None if rep is None

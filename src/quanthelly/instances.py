@@ -187,10 +187,12 @@ class GeneratorSpec:
                     and not isinstance(value, bool) and value >= least):
                 raise InstanceError(f"{name} must be an integer >= {least}, "
                                     f"got {value!r}")
-        if not (math.isfinite(self.target_volume)
-                and self.target_volume > 0.0):
-            raise InstanceError(f"target volume must be positive and finite, "
-                                f"got {self.target_volume}")
+        v = self.target_volume
+        if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0.0):
+            raise InstanceError(f"target volume must be a positive finite "
+                                f"number, got {v!r}")
+        object.__setattr__(self, "target_volume", float(v))
 
 
 def _ball_radius(target_volume: float, d: int) -> float:

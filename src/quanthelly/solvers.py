@@ -56,8 +56,9 @@ class SolverSettings:
     ``mvie_batch`` and ``lift_to_target`` do neither.
     ``feasibility_tol`` is a constraint and margin slack; it plays no part in
     deciding whether a volume reaches its target (``reaches_target``).
+    The three tolerances are positive finite real numbers and
     ``max_iterations``, the Newton-step budget of each problem, is an
-    integer >= 1.
+    integer >= 1; a bool is neither.
     """
 
     feasibility_tol: float = 1e-9
@@ -68,7 +69,8 @@ class SolverSettings:
     def __post_init__(self):
         tols = (self.feasibility_tol, self.kkt_tol, self.gap_target)
         budget = self.max_iterations
-        if not (all(math.isfinite(x) and x > 0 for x in tols)
+        if not (all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                    and math.isfinite(x) and x > 0 for x in tols)
                 and isinstance(budget, numbers.Integral)
                 and not isinstance(budget, bool) and budget >= 1):
             raise ValueError("invalid solver settings")
@@ -512,12 +514,17 @@ def _solve_stacked(polytopes, objective, starts, settings):
     return out, None
 
 
-def single_outcome(batch) -> SolveOutcome:
-    """The outcome of a batch of one, or its error raised."""
+def solved(batch) -> list:
+    """The outcomes of a batch (outcomes, error), or its error raised."""
     outcomes, error = batch
     if error is not None:
         raise error
-    return outcomes[0]
+    return outcomes
+
+
+def single_outcome(batch) -> SolveOutcome:
+    """The outcome of a batch of one, or its error raised."""
+    return solved(batch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +549,9 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
     start-point LP per polytope.  Returns (outcomes, error): the outcomes in
     input order up to the first polytope that fails, and its error
     (EmptyInterior, MaxIterations, or Unbounded when its start LP fails), or
-    None.  The start-point LPs run in input order, and neither they nor the
-    iteration of ``polytopes`` go past the first that fails.  Every outcome
-    is bitwise the one ``mvie`` returns on its polytope alone.
+    None.  The start-point LPs run in input order and stop at the first that
+    fails.  Every outcome is bitwise the one ``mvie`` returns on its
+    polytope alone.
     """
     solvable, starts, error = [], [], None
     for P in polytopes:
@@ -589,7 +596,9 @@ def lift_to_target(polytopes, batch, target_volume: float,
     no slab cross-check.  A nonpositive target fails with VolumeInfeasible
     unless the batch is empty, and so does a polytope whose MVIE volume does
     not reach the target (``reaches_target``, as in the hypothesis check).
-    Returns (outcomes, error) like ``mvie_batch``; the height problems
+    Returns (outcomes, error) like ``mvie_batch``, and every outcome's
+    objective is its height (``ellipsoid_height``), also where the MVIE is
+    the outcome because its volume is the target's; the height problems
     before the first failure so far are solved as stacks, so an error among
     them comes earlier and replaces it.
     """

@@ -84,8 +84,11 @@ def test_selection_requires_increasing_classes():
 
 def test_selection_oversized_k_rejected():
     cc = uniform_classes(HPolytope.box([1.0, 1.0]), 3)
-    with pytest.raises(InstanceError):
-        list(colorful_selections(cc, 4))
+    for k in (4, 0, -1):
+        with pytest.raises(InstanceError):
+            list(colorful_selections(cc, k))
+        with pytest.raises(InstanceError):
+            verify_colorful_hypothesis(cc, k, 1.0)
 
 
 def test_selection_intersection_stacks_rows():

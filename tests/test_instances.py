@@ -277,6 +277,20 @@ def test_generator_counts_must_be_integers(field, value):
         GeneratorSpec(**args)
 
 
+@pytest.mark.parametrize("value", [True, "1", None, [1.0], 0, -2.0,
+                                   math.inf, math.nan])
+def test_generator_target_volume_must_be_a_positive_number(value):
+    with pytest.raises(InstanceError, match="^target volume must be"):
+        GeneratorSpec("common-ball", 1, 2, 5, 1, target_volume=value)
+
+
+def test_generator_target_volume_is_stored_as_float():
+    spec = GeneratorSpec("common-ball", 1, 2, 5, 1, target_volume=2)
+    assert type(spec.target_volume) is float
+    assert emit_instance(generate(spec)) == emit_instance(generate(
+        GeneratorSpec("common-ball", 1, 2, 5, 1, target_volume=2.0)))
+
+
 def test_tangent_halfspaces_fall_back_to_axis_tangents():
     # Two half-planes never bound a body in R^2, so every body gets the 2d
     # axis-aligned tangent half-spaces, which leave the reference ball its

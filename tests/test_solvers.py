@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quanthelly import (AffineMap, HPolytope, SolverSettings,
-                        ellipsoid_in_polytope, ellipsoid_volume, is_bounded,
+                        ellipsoid_height, ellipsoid_in_polytope,
+                        ellipsoid_volume, is_bounded,
                         lowest_ellipsoid, mvie, transform_ellipsoid,
                         transform_polytope)
 from quanthelly import geometry, solvers
@@ -313,6 +314,24 @@ def test_start_outside_the_domain_retires_with_max_iterations():
     out, error = lift_to_target([b1, b1], mvie_batch([b2, b1]), 1.0)
     assert out == [] and isinstance(error, MaxIterations)
     assert str(error) == "barrier start point left the domain"
+
+
+def test_lift_objective_is_the_height_bitwise():
+    # The pipelines read a lowest ellipsoid's height from its objective, so
+    # it must be ellipsoid_height's float both for a lifted problem and for
+    # an MVIE that is returned as it is because its volume is the target.
+    big, unit = HPolytope.box([2.0, 2.0]), HPolytope.box([1.0, 1.0])
+    mvies, error = mvie_batch([big, unit])
+    assert error is None
+    assert mvies[0].volume > math.pi * (1.0 + 1e-7)
+    assert mvies[1].volume <= math.pi * (1.0 + 1e-7)
+    out, error = lift_to_target([big, unit], (mvies, None), math.pi)
+    assert error is None and len(out) == 2
+    assert not np.array_equal(out[0].ellipsoid.shape, mvies[0].ellipsoid.shape)
+    assert np.array_equal(out[1].ellipsoid.shape, mvies[1].ellipsoid.shape)
+    assert np.array_equal(out[1].ellipsoid.center, mvies[1].ellipsoid.center)
+    for o in out:
+        assert o.objective == ellipsoid_height(o.ellipsoid)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +687,8 @@ def test_lp_count_per_entry_point(rng, monkeypatch, d):
 
 @pytest.mark.parametrize("field", ["feasibility_tol", "kkt_tol",
                                    "gap_target"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True,
+                                   "1e-9", None])
 def test_settings_reject_nonpositive_and_nonfinite_tolerances(field, value):
     with pytest.raises(ValueError):
         SolverSettings(**{field: value})
