@@ -24,7 +24,11 @@ input sets, written here from fixed seeds or fixed data:
 * one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
-  lowest-ellipsoid stages must apply the same volume rule;
+  lowest-ellipsoid stages must apply the same volume rule, and one of six
+  copies (``near-target-6``), the class count ``run theorem1`` takes at
+  d=2, so that theorem1's hypothesis check, which stops a selection once
+  its inscribed volume clears the target with headroom, must solve these
+  selections in full and still pass them;
 * two instances with tied selections: ``ties``, whose colell has two full
   selections at the greatest height bit for bit, also after the instance is
   emitted and parsed, so that a change in which selection wins a tie shows;
@@ -40,10 +44,10 @@ its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
 ``run colell`` or ``run saxuso`` line, on the ``ell-d2`` inputs each
-``run ell`` line, and on the ``theorem1-d2`` inputs each ``run theorem1``
-line, is followed by a ``work`` line with the number of LPs the
-invocation solved (parsing included) and of the stacked Newton systems the
-barrier engine solved, with their total rows (calls of
+``run ell`` line, and on the ``theorem1-d2`` and ``near-target-6`` inputs
+each ``run theorem1`` line, is followed by a ``work`` line with the number
+of LPs the invocation solved (parsing included) and of the stacked Newton
+systems the barrier engine solved, with their total rows (calls of
 ``solvers._newton_directions``), so that a change in the work a pipeline
 does shows beside reports that do not move.
 
@@ -90,7 +94,8 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
 WORKLOAD_SEEDS = (1, 2, 3)
 # (input label prefix, command) of the invocations that print a ``work`` line
 WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
-        ("ell-d2-", ["run", "ell"]), ("theorem1-d2-", ["run", "theorem1"]))
+        ("ell-d2-", ["run", "ell"]), ("theorem1-d2-", ["run", "theorem1"]),
+        ("near-target-6", ["run", "theorem1"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
@@ -105,6 +110,7 @@ _W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.0e-7
 NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
     {"a": [0.0, 1.0], "b": _W}, {"a": [0.0, -1.0], "b": _W}]]] * 5}
+NEAR_TARGET_6 = dict(NEAR_TARGET, classes=NEAR_TARGET["classes"][:1] * 6)
 
 
 def _without_wall_time(obj):
@@ -334,7 +340,8 @@ def main(argv=None) -> int:
     inputs += [(f"{name}-s{seed}", GeneratorSpec(kind, seed, d, nc, mm), False)
                for name, kind, d, nc, mm in WORKLOAD_SPECS
                for seed in WORKLOAD_SEEDS]
-    inputs.append(("near-target", NEAR_TARGET, False))
+    inputs += [("near-target", NEAR_TARGET, False),
+               ("near-target-6", NEAR_TARGET_6, False)]
     inputs += [(label, GeneratorSpec(*spec), False) for label, spec in TIES]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -8,7 +8,9 @@ over them, the shape ``lift_to_target`` takes and returns.  ``mvie_batch``
 runs the start-point LPs in selection order up to the first that fails and
 solves the rest as stacked Newton problems, so each outcome is bitwise the
 one a lone solve gives and the first failure in selection order is the one
-raised (``solved``).  The hypothesis check reads the MVIEs; ``colell``,
+raised (``solved``).  The hypothesis check reads the MVIEs, and theorem1's,
+which needs only its verdict, stops each selection once its inscribed
+ellipsoid clears the target (``_hypothesis_verdict``); ``colell``,
 ``saxuso`` and theorem1's (2d-1)-selection stage lift them to lowest
 ellipsoids (``_lowest``) and read each one's height from the lift, which
 stores it as the outcome's objective.  When several lowest ellipsoids reach
@@ -33,8 +35,8 @@ from .geometry import (AGREEMENT_TOL, INTERIOR_TOL, AffineMap, Ellipsoid,
                        intersect_all, min_semiaxis, polytope_slacks,
                        transform_ellipsoid, transform_polytope)
 from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
-                      mvie_batch, reaches_target, single_outcome, slice_below,
-                      solved)
+                      mvie_batch, reaches_target, settle_threshold,
+                      single_outcome, slice_below, solved)
 
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
@@ -175,16 +177,18 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
-def _sweep(classes: ColorClasses, k: int, settings: SolverSettings):
+def _sweep(classes: ColorClasses, k: int, settings: SolverSettings,
+           stop=None):
     """The MVIE sweep of the colorful k-selections, the one sweep every
     pipeline stage runs.  Returns (selections, intersections, batch): the
     selections in lexicographic order, their intersections, and the
-    (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings returns
-    for the intersections.  The outcomes belong to the first
-    ``len(outcomes)`` selections; the error, if any, to the next one."""
+    (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings, with
+    the log-det threshold ``stop``, returns for the intersections.  The
+    outcomes belong to the first ``len(outcomes)`` selections; the error, if
+    any, to the next one."""
     sels = list(colorful_selections(classes, k))
     polytopes = [selection_intersection(classes, sel) for sel in sels]
-    return sels, polytopes, mvie_batch(polytopes, _inner(settings))
+    return sels, polytopes, mvie_batch(polytopes, _inner(settings), stop)
 
 
 def _lowest(sweep, target_volume: float, settings: SolverSettings) -> list:
@@ -305,6 +309,19 @@ def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
     return HypothesisReport(False, total, min_volume, min_sel,
                             sels[len(outcomes)],
                             f"{type(error).__name__}: {error}")
+
+
+def _hypothesis_verdict(classes: ColorClasses, k: int, target_volume: float,
+                        settings: SolverSettings) -> HypothesisReport:
+    """The passed, failure and failure_reason of
+    ``verify_colorful_hypothesis``, from a sweep that stops each selection
+    once its inscribed ellipsoid settles that its MVIE reaches the target
+    (``settle_threshold``); the selections below that, and every failure,
+    are solved in full.  A stopped selection's volume is only a lower bound,
+    so min_volume and min_selection are None."""
+    stop = settle_threshold(target_volume, classes.dim, _inner(settings))
+    rep = _hypothesis_report(_sweep(classes, k, settings, stop), target_volume)
+    return dataclasses.replace(rep, min_volume=None, min_selection=None)
 
 
 def _require_classes(classes: ColorClasses, n: int, what: str):
@@ -436,16 +453,18 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
                       check_hypothesis: bool = True) -> PipelineReport:
     """Few-color-classes pipeline: 3d classes, colorful selections of 2d sets.
 
-    Constructs the highest lowest-ellipsoid over (2d-1)-selections, normalizes
-    it to the unit ball, cuts with the height-1 half-space, extracts a common
-    inscribed-ball radius over the remaining d+1 families, and finds the
-    witness class by the translate search.
+    Checks the 2d-selection hypothesis for its verdict alone
+    (``_hypothesis_verdict``), constructs the highest lowest-ellipsoid over
+    (2d-1)-selections, normalizes it to the unit ball, cuts with the
+    height-1 half-space, extracts a common inscribed-ball radius over the
+    remaining d+1 families, and finds the witness class by the translate
+    search.
     """
     t_start = time.perf_counter()
     d = classes.dim
     _require_classes(classes, 3 * d, "pipeline")
     if check_hypothesis:
-        _require_hypothesis(verify_colorful_hypothesis(
+        _require_hypothesis(_hypothesis_verdict(
             classes, 2 * d, target_volume, settings), "colorful")
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections

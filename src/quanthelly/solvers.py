@@ -9,8 +9,13 @@ method (center by Newton steps, test the gap, raise t) and takes each stack
 from its start points to its outcomes; every Hessian it builds is solved,
 and each outcome's KKT bound reads the gradient of its last Newton system.
 A problem that fails keeps its stack row and only leaves the working rows,
-and an eval cache holds every row.  ``mvie_batch`` takes a sequence of
-polytopes and ``lift_to_target`` lifts its outcomes to lowest ellipsoids.
+and an eval cache holds every row.  The engine's retirement hook is an
+optional log-det threshold ``stop``: a problem whose log det B reaches it
+retires with that strictly feasible iterate as its outcome, whose volume
+bounds the optimum's from below; theorem1's hypothesis check stops each
+selection there once its volume settles that the MVIE reaches the target
+(``settle_threshold``).  ``mvie_batch`` takes a sequence of polytopes and
+``lift_to_target`` lifts its outcomes to lowest ellipsoids.
 ``mvie`` is a stack of one behind a boundedness check read from the
 Chebyshev LP that also starts it, and ``lowest_ellipsoid`` lifts its own
 ``mvie`` (see ``SolverSettings``).  Per-problem masks stand in for the
@@ -43,6 +48,16 @@ _CENTER_TOL = 1e-9
 _T_GROWTH = 10.0
 # Relative shortfall a volume may have and still reach its target.
 _VOLUME_SLACK = 1e-6
+# An inscribed ellipsoid of volume at least target (1 - _VOLUME_SLACK)
+# (1 + _SETTLE_HEADROOM) settles that the MVIE reaches the target.  A barrier
+# iterate is strictly feasible, so its log det B is at most the optimum's,
+# log det B*, while a full solve ends centered at a duality gap m/t of at most
+# its gap target, _SETTLE_GAP at ``helly._inner``'s, so its log det B is at
+# least log det B* - 1e-7.  Since log(1 + 2e-6) > 1.99e-6, twenty times that
+# gap, the full solve's volume reaches the target whenever such an iterate's
+# does, with room left for its last Newton decrement and for rounding.
+_SETTLE_HEADROOM = 2e-6
+_SETTLE_GAP = 1e-7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,6 +98,21 @@ def reaches_target(volume: float, target_volume: float) -> bool:
     """Whether a volume reaches its target: at least target (1 - 1e-6).  The
     one test of the hypothesis check and of the lowest ellipsoid."""
     return volume >= target_volume * (1.0 - _VOLUME_SLACK)
+
+
+def settle_threshold(target_volume: float, d: int,
+                     settings: SolverSettings):
+    """The log det B at or above which an inscribed ellipsoid in dimension d
+    settles that the MVIE solved at ``settings`` reaches the target
+    (``reaches_target``): log(target (1 - 1e-6) (1 + 2e-6) / kappa_d), the
+    ``stop`` of ``mvie_batch``.  None when the settings' gap target exceeds
+    the 1e-7 that the headroom covers; -inf for a target at most 0, which
+    every volume reaches."""
+    if settings.gap_target > _SETTLE_GAP:
+        return None
+    limit = (target_volume * (1.0 - _VOLUME_SLACK) * (1.0 + _SETTLE_HEADROOM)
+             / unit_ball_volume(d))
+    return math.log(limit) if limit > 0.0 else -math.inf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,7 +444,17 @@ def _line_search(prob: _Barrier, x, cache, f, gd, delta, t, look):
     return x, cache, moved
 
 
-def _solve_stacked(polytopes, objective, starts, settings):
+def _settle(rows, logdet, stop, settled):
+    """The rows whose log det B lies below ``stop``; the others are appended
+    to ``settled``.  Every row stays when stop is None."""
+    if stop is None:
+        return rows
+    hit = (logdet >= stop).tolist()
+    settled += [k for k in rows if hit[k]]
+    return [k for k in rows if not hit[k]]
+
+
+def _solve_stacked(polytopes, objective, starts, settings, stop=None):
     """Barrier solves of objective(d) on each polytope from its start (B0, c0),
     one stack per constraint-matrix shape.  Returns (outcomes, error): the
     outcomes in input order up to the first problem that failed, and that
@@ -431,7 +471,15 @@ def _solve_stacked(polytopes, objective, starts, settings):
     Every other row left ``ws`` at the iterate of its last Newton system, so
     its KKT bound, the gap plus |grad f_t| / t at the final t, reads that
     system's gradient.  An outcome's objective is log det B and its active
-    set is the near-zero slacks."""
+    set is the near-zero slacks.
+
+    The one other retirement is the log-det threshold ``stop``: a live row
+    whose log det B is at or above it, at its start point or after an
+    intermediate centering (before the budget test), retires settled and
+    costs no further Newton system.  Its outcome is its strictly feasible
+    iterate, read from its stack row, with KKT bound inf and no active set,
+    so it never poses as an optimum; every other outcome is the one a solve
+    without ``stop`` gives, bitwise."""
     out = [None] * len(polytopes)
     errors = [None] * len(polytopes)
     groups = {}
@@ -453,6 +501,8 @@ def _solve_stacked(polytopes, objective, starts, settings):
             else:
                 errors[index[k]] = MaxIterations(
                     "barrier start point left the domain")
+        settled = []
+        live = _settle(live, cache[5], stop, settled)
         left = [settings.max_iterations] * n
         delta, glast, gd = np.empty_like(x), np.empty_like(x), [0.0] * n
         t = 1.0
@@ -487,6 +537,8 @@ def _solve_stacked(polytopes, objective, starts, settings):
                 x, cache, moved = _line_search(prob, x, cache, f, gd, delta,
                                                t, look)
                 ws = [i for i in ws if moved[i] and left[i] > 0]
+            if not final:
+                live = _settle(live, cache[5], stop, settled)
             # A problem whose budget is spent ended its centering without a
             # decrement test at its last iterate, at the final t as at any
             # other.
@@ -508,6 +560,10 @@ def _solve_stacked(polytopes, objective, starts, settings):
             out[index[k]] = SolveOutcome(
                 Ellipsoid(B, x[k, prob.sym.p:]), float(logdet),
                 float(kkt[j]), active)
+        for k in settled:
+            out[index[k]] = SolveOutcome(
+                Ellipsoid(cache[0][k], x[k, prob.sym.p:]),
+                float(cache[5][k]), math.inf, ())
     for i, e in enumerate(errors):
         if e is not None:
             return out[:i], e
@@ -541,7 +597,8 @@ def _start(center, margin: float, settings: SolverSettings):
     return 0.9 * margin * np.eye(len(center)), center
 
 
-def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
+def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS,
+               stop=None):
     """Maximum-volume inscribed ellipsoids of a sequence of full-dimensional
     polytopes, one stacked barrier solve per constraint count.
 
@@ -551,7 +608,11 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
     (EmptyInterior, MaxIterations, or Unbounded when its start LP fails), or
     None.  The start-point LPs run in input order and stop at the first that
     fails.  Every outcome is bitwise the one ``mvie`` returns on its
-    polytope alone.
+    polytope alone, except that with a log-det threshold ``stop``
+    (``settle_threshold``) a polytope whose barrier iterate reaches
+    log det B >= stop, at its start ball or after an intermediate centering,
+    ends there: its outcome is that inscribed ellipsoid, whose volume bounds
+    the MVIE volume from below, with KKT bound inf and no active set.
     """
     solvable, starts, error = [], [], None
     for P in polytopes:
@@ -561,7 +622,8 @@ def mvie_batch(polytopes, settings: SolverSettings = DEFAULT_SETTINGS):
             error = exc
             break
         solvable.append(P)
-    outcomes, failed = _solve_stacked(solvable, _LogDet, starts, settings)
+    outcomes, failed = _solve_stacked(solvable, _LogDet, starts, settings,
+                                      stop)
     return outcomes, error if failed is None else failed
 
 

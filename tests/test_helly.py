@@ -10,7 +10,7 @@ from quanthelly import (ColorClasses, ColorfulSelection, Ellipsoid, HPolytope,
                         lowest_ellipsoid, minkowski_difference, mvie,
                         saxuso_scenario, theorem1_pipeline,
                         verify_colorful_hypothesis)
-from quanthelly import solvers
+from quanthelly import helly, solvers
 from quanthelly.errors import (HypothesisViolated, InstanceError,
                                MaxIterations, NoWitness, VolumeInfeasible)
 from quanthelly.geometry import chebyshev_center
@@ -212,6 +212,68 @@ def test_hypothesis_numerical_failure_propagates():
     cc = classes_of_boxes([([1.0, 1.0], None)], [([1.0, 1.0], None)])
     with pytest.raises(MaxIterations):
         verify_colorful_hypothesis(cc, 2, 1.0, SolverSettings(max_iterations=1))
+
+
+def box_copies(volume, n=6):
+    """n classes of one square each, whose MVIE (a disc) has the volume."""
+    w = math.sqrt(volume / math.pi)
+    return uniform_classes(HPolytope.box([w, w]), n)
+
+
+def _generated(*spec):
+    inst = generate(GeneratorSpec(*spec))
+    return inst.classes, inst.target_volume
+
+
+# name -> (classes, target, k, whether every selection retires early or
+# none does; None where some do)
+VERDICT_CORPUS = {
+    "common-ball-1": lambda: (*_generated("common-ball", 1, 2, 6, 3), 4, None),
+    "common-ball-2": lambda: (*_generated("common-ball", 2, 2, 6, 3), 4, None),
+    "common-ball-3": lambda: (*_generated("common-ball", 3, 2, 6, 2), 4, None),
+    "tie": lambda: (*_generated("common-ball", 1365155147, 2, 6, 3), 4,
+                    None),
+    "far-member-2": lambda: (far_member_classes(), math.pi, 2, None),
+    "far-member-3": lambda: (far_member_classes(), math.pi, 3, None),
+    "adversarial": lambda: (*_generated("adversarial", 2, 2, 5, 2), 4, False),
+    # below the threshold target (1 - 1e-6)(1 + 2e-6): solved in full, and
+    # passes as within the slack of 1e-6
+    "near-target": lambda: (box_copies(1.0 - 5e-7), 1.0, 4, False),
+    "above-target": lambda: (box_copies(1.0 + 1e-5), 1.0, 4, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CORPUS))
+def test_theorem1_check_gives_the_full_checks_verdict(monkeypatch, name):
+    cc, target, k, retires = VERDICT_CORPUS[name]()
+    full = verify_colorful_hypothesis(cc, k, target)
+    kkts = []
+    batch = helly.mvie_batch
+
+    def recording(polytopes, settings, stop=None):
+        out = batch(polytopes, settings, stop)
+        kkts.extend(o.kkt_residual for o in out[0])
+        return out
+
+    monkeypatch.setattr(helly, "mvie_batch", recording)
+    rep = helly._hypothesis_verdict(cc, k, target, SolverSettings())
+    assert (rep.passed, rep.failure, rep.failure_reason) == (
+        full.passed, full.failure, full.failure_reason)
+    assert rep.selections_checked == full.selections_checked
+    assert rep.min_volume is None and rep.min_selection is None
+    early = [r == math.inf for r in kkts]
+    assert any(early) if retires is None else early == [retires] * len(kkts)
+
+
+def test_theorem1_check_settles_selections_whose_full_solve_runs_out():
+    # Each selection's MVIE takes more than 30 Newton steps, but its iterate
+    # clears the target before that, so theorem1's check passes where the
+    # full check raises MaxIterations.
+    cc = uniform_classes(HPolytope.box([1.0, 1.0]), 6)
+    settings = SolverSettings(max_iterations=30)
+    with pytest.raises(MaxIterations):
+        verify_colorful_hypothesis(cc, 4, 0.95 * math.pi, settings)
+    assert helly._hypothesis_verdict(cc, 4, 0.95 * math.pi, settings).passed
 
 
 def test_hypothesis_k1_singletons_reduces_to_per_body_mvie():

@@ -13,7 +13,7 @@ from quanthelly import (AffineMap, HPolytope, SolverSettings,
 from quanthelly import geometry, solvers
 from quanthelly.errors import (CertificateFailed, EmptyInterior,
                                MaxIterations, Unbounded, VolumeInfeasible)
-from quanthelly.geometry import chebyshev_center, intersect
+from quanthelly.geometry import chebyshev_center, intersect, unit_ball_volume
 from quanthelly.solvers import (DEFAULT_SETTINGS, _Barrier, _Height, _LogDet,
                                 _SymSpace, lift_to_target, mvie_batch,
                                 slice_below)
@@ -537,6 +537,58 @@ def test_every_hessian_is_solved(monkeypatch):
         g, _ = grad_hess(prob, cache, t)
         assert ok == [True] and o.kkt_residual == float(
             prob.n_barrier_terms / t + np.sqrt(g[0] @ g[0]) / t)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_threshold_retires_rows_at_an_inscribed_iterate(rng, d):
+    # With a log-det threshold, a row that does not retire ends bitwise as
+    # without one; a retired row ends at an inscribed iterate whose volume
+    # lies between the threshold's and its full solve's, and its KKT bound is
+    # inf, so it never passes for an optimum.
+    polytopes = [bounded_random_polytope(rng, d, extra=e)
+                 for e in (4, 12, 8, 4, 12, 8, 8, 8)]
+    full, error = mvie_batch(polytopes)
+    assert error is None
+    volumes = sorted(o.volume for o in full)
+    v_stop = 0.5 * (volumes[3] + volumes[4])
+    stop = math.log(v_stop / unit_ball_volume(d))
+    out, error = mvie_batch(polytopes, DEFAULT_SETTINGS, stop)
+    assert error is None and len(out) == len(polytopes)
+    retired = [o.kkt_residual == math.inf for o in out]
+    assert retired == [o.volume > v_stop for o in full]
+    for P, o, f in zip(polytopes, out, full):
+        if o.kkt_residual == math.inf:
+            assert v_stop <= o.volume <= f.volume
+            assert stop <= o.objective <= f.objective
+            assert o.active_constraints == ()
+            assert ellipsoid_in_polytope(o.ellipsoid, P, 0.0)
+        else:
+            assert _same_outcome(o, f)
+
+
+def test_threshold_at_the_start_ball_solves_no_newton_system(monkeypatch):
+    # The unit box's start ball, 0.9 times its Chebyshev radius, is at the
+    # threshold, so it retires before its first Newton system, and the
+    # stack's Newton rows are those of the half box alone.
+    box, half = HPolytope.box([1.0, 1.0]), HPolytope.box([0.5, 0.5])
+    stop = np.linalg.slogdet(0.9 * np.eye(2))[1]
+    rows = []
+    directions = solvers._newton_directions
+
+    def counting_directions(H, g):
+        rows.append(len(g))
+        return directions(H, g)
+
+    monkeypatch.setattr(solvers, "_newton_directions", counting_directions)
+    mvie_batch([box], DEFAULT_SETTINGS, stop)
+    assert rows == []
+    alone = mvie_batch([half])[0][0]
+    rows.clear()
+    out, error = mvie_batch([box, half], DEFAULT_SETTINGS, stop)
+    assert error is None and sum(rows) == len(rows) > 0
+    assert np.array_equal(out[0].ellipsoid.shape, 0.9 * np.eye(2))
+    assert out[0].kkt_residual == math.inf
+    assert _same_outcome(out[1], alone)
 
 
 def test_lowest_checks_target_then_boundedness():
