@@ -18,9 +18,11 @@ input sets, written here from fixed seeds or fixed data:
 * one adversarial instance, whose hypothesis fails at k=4, with the pipelines
   also run under ``--skip-hypothesis-check`` (exit 2 and exit 3 paths);
 * three instances of each benchmark workload's generator spec
-  (``perfbench/workloads.py``).  At d=3, ``run theorem1`` and ``run saxuso``
-  are left out: their 6-selection sweeps hold 377-1002 selections per
-  instance and would take most of the run time;
+  (``perfbench/workloads.py``).  At d=3, ``run saxuso`` is left out: its
+  6-selection hypothesis sweep holds 377-1002 selections per instance and
+  would take most of the run time.  ``run theorem1`` runs there too: its
+  class-block covers settle its 6-selection check and prune its
+  5-selection sweep, so it solves only a fraction of those selections;
 * one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
@@ -43,7 +45,7 @@ one line: its label, the exit code, the sha256 of the report with every
 its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
-``run colell`` or ``run saxuso`` line, on the ``ell-d2`` inputs each
+``run colell`` or ``run theorem1`` line, on the ``ell-d2`` inputs each
 ``run ell`` line, and on the ``theorem1-d2`` and ``near-target-6`` inputs
 each ``run theorem1`` line, is followed by a ``work`` line with the number
 of LPs the invocation solved (parsing included) and of the stacked Newton
@@ -93,8 +95,9 @@ WORKLOAD_SPECS = [("theorem1-d2", "common-ball", 2, 6, 3),
                   ("ell-d2", "tangent-halfspaces", 2, 6, 2)]
 WORKLOAD_SEEDS = (1, 2, 3)
 # (input label prefix, command) of the invocations that print a ``work`` line
-WORK = (("colell-d3-", ["run", "colell"]), ("colell-d3-", ["run", "saxuso"]),
-        ("ell-d2-", ["run", "ell"]), ("theorem1-d2-", ["run", "theorem1"]),
+WORK = (("colell-d3-", ["run", "colell"]),
+        ("colell-d3-", ["run", "theorem1"]), ("ell-d2-", ["run", "ell"]),
+        ("theorem1-d2-", ["run", "theorem1"]),
         ("near-target-6", ["run", "theorem1"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
@@ -146,9 +149,9 @@ def _invoke(main, argv, report: Path) -> str:
 def _commands(d: int, adversarial: bool):
     cmds = [["mvie"], ["lowest"], ["verify-hypothesis"],
             ["verify-hypothesis", "--k", "2"], ["run", "ell"],
-            ["run", "colell"]]
+            ["run", "colell"], ["run", "theorem1"]]
     if d < 3:
-        cmds += [["run", "theorem1"], ["run", "saxuso"]]
+        cmds += [["run", "saxuso"]]
     if adversarial:
         cmds += [c + ["--skip-hypothesis-check"]
                  for c in cmds if c[0] == "run" and c[1] != "ell"]

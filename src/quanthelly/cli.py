@@ -8,6 +8,7 @@ InstanceError, DimensionMismatch, DegenerateInput, any OSError).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -49,6 +50,7 @@ def _thread_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-feas", type=_tolerance, default=1e-9,

@@ -2,25 +2,36 @@
 verification, and the constructive theorem pipelines.
 
 Every pipeline stage that visits colorful selections runs the one sweep
-``_sweep``, three aligned values: the selections in lexicographic order,
-their intersections, and the (outcomes, error) batch of one ``mvie_batch``
-over them, the shape ``lift_to_target`` takes and returns.  ``mvie_batch``
-runs the start-point LPs in selection order up to the first that fails and
-solves the rest as stacked Newton problems, so each outcome is bitwise the
-one a lone solve gives and the first failure in selection order is the one
-raised (``solved``).  The hypothesis check reads the MVIEs, and theorem1's,
-which needs only its verdict, stops each selection once its inscribed
-ellipsoid clears the target (``_hypothesis_verdict``); ``colell``,
-``saxuso`` and theorem1's (2d-1)-selection stage lift them to lowest
-ellipsoids (``_lowest``) and read each one's height from the lift, which
-stores it as the outcome's objective.  When several lowest ellipsoids reach
-the greatest height exactly, the first selection in order defines the
-pipeline, so a report depends only on the instance and settings.
+``_sweep``, three aligned values: the selections it is given, in
+lexicographic order, their intersections, and the (outcomes, error) batch of
+one ``mvie_batch`` over them, the shape ``lift_to_target`` takes and
+returns.  ``mvie_batch`` runs the start-point LPs in selection order up to
+the first that fails and solves the rest as stacked Newton problems, so each
+outcome is bitwise the one a lone solve gives and the first failure in
+selection order is the one raised (``solved``).  The hypothesis check reads
+the MVIEs; ``colell``, ``saxuso`` and theorem1's (2d-1)-selection stage lift
+them to lowest ellipsoids (``_lowest``) and read each one's height from the
+lift, which stores it as the outcome's objective.  When several lowest
+ellipsoids reach the greatest height exactly, the first selection in order
+defines the pipeline, so a report depends only on the instance and settings.
+
+theorem1 reads only a verdict and an argmax from its sweeps, so it solves
+class-block covers first (``_class_blocks``): for a set T of classes, the
+cover K_T, the intersection of every member of T's classes, lies inside
+every selection drawn from T's classes (T's block).  An inscribed ellipsoid
+of K_T that clears the target settles the block's hypothesis selections,
+and the whole family's cover settles all of them (``_hypothesis_verdict``).
+A lowest ellipsoid lifted in K_T bounds the heights of the block's
+selections from above, so a block whose bound lies below a height already
+computed is pruned from the (2d-1)-selection sweep (``_highest_lowest``).
+Only the selections left are swept, each with the bits of its lone solve,
+so both stages report what a sweep of every selection reports.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 from typing import Optional, Union
 
@@ -41,6 +52,14 @@ from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
 _RADIUS_SHRINK = 1e-6
+# A block of theorem1's (2d-1)-selections is pruned when its height bound
+# plus this many height-gap targets lies below a computed height.  A lift
+# ends centered at a height gap of (m+1)/t of at most its gap target, and its
+# final iterate is feasible, so a selection's computed height exceeds its
+# lowest height, at most its block's bound, by at most about one gap target;
+# twenty leave room for the last Newton decrement and for rounding.  The
+# margin is absolute, like the other height tolerances.
+_PRUNE_GAPS = 20.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,18 +196,34 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
-def _sweep(classes: ColorClasses, k: int, settings: SolverSettings,
+def _sweep(classes: ColorClasses, selections, settings: SolverSettings,
            stop=None):
-    """The MVIE sweep of the colorful k-selections, the one sweep every
+    """The MVIE sweep of some colorful selections, the one sweep every
     pipeline stage runs.  Returns (selections, intersections, batch): the
-    selections in lexicographic order, their intersections, and the
+    selections as a list, in the order given, their intersections, and the
     (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings, with
     the log-det threshold ``stop``, returns for the intersections.  The
     outcomes belong to the first ``len(outcomes)`` selections; the error, if
     any, to the next one."""
-    sels = list(colorful_selections(classes, k))
+    sels = list(selections)
     polytopes = [selection_intersection(classes, sel) for sel in sels]
     return sels, polytopes, mvie_batch(polytopes, _inner(settings), stop)
+
+
+def _class_blocks(classes: ColorClasses, k: int) -> dict:
+    """Each k-subset T of the classes, in lexicographic order, mapped to its
+    cover K_T, the intersection of every member of every class in T.  The
+    colorful k-selections drawn from T's classes (T's block) are contiguous
+    in selection order, and K_T lies inside each of their intersections.
+    Each cover repeats its last row up to the largest row count, which
+    leaves it the same set, so the covers solve as one stack."""
+    covers = {T: intersect_all([body for c in T
+                                for body in classes.classes[c]])
+              for T in itertools.combinations(range(classes.n_classes), k)}
+    rows = max(len(K.b) for K in covers.values())
+    return {T: HPolytope(np.pad(K.A, ((0, rows - len(K.b)), (0, 0)), "edge"),
+                         np.pad(K.b, (0, rows - len(K.b)), "edge"))
+            for T, K in covers.items()}
 
 
 def _lowest(sweep, target_volume: float, settings: SolverSettings) -> list:
@@ -282,7 +317,9 @@ def verify_colorful_hypothesis(classes: ColorClasses, k: int,
     (EmptyInterior) is a violation; any other solver error is a numerical
     failure and propagates.
     """
-    return _hypothesis_report(_sweep(classes, k, settings), target_volume)
+    return _hypothesis_report(
+        _sweep(classes, colorful_selections(classes, k), settings),
+        target_volume)
 
 
 def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
@@ -313,15 +350,43 @@ def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
 
 def _hypothesis_verdict(classes: ColorClasses, k: int, target_volume: float,
                         settings: SolverSettings) -> HypothesisReport:
-    """The passed, failure and failure_reason of
-    ``verify_colorful_hypothesis``, from a sweep that stops each selection
-    once its inscribed ellipsoid settles that its MVIE reaches the target
-    (``settle_threshold``); the selections below that, and every failure,
-    are solved in full.  A stopped selection's volume is only a lower bound,
-    so min_volume and min_selection are None."""
-    stop = settle_threshold(target_volume, classes.dim, _inner(settings))
-    rep = _hypothesis_report(_sweep(classes, k, settings, stop), target_volume)
-    return dataclasses.replace(rep, min_volume=None, min_selection=None)
+    """The passed, failure, failure_reason and selections_checked of
+    ``verify_colorful_hypothesis``, settled by covers where they can be.
+
+    An inscribed ellipsoid whose log det B reaches ``settle_threshold``
+    settles that every selection whose intersection holds it passes.  The
+    whole family's intersection lies in every selection's, so when its
+    cover settles, the check passes.  Otherwise each k-block's cover
+    (``_class_blocks``) settles its block, and the selections of the other
+    blocks are swept in selection order, each stopped once it settles; the
+    ones below that, and every failure, are solved in full, so the first
+    failure is the full check's.  A cover's error only leaves its block,
+    and the blocks after it, to the sweep.  With no threshold, no cover is
+    solved.  A stopped volume is only a lower bound, so min_volume and
+    min_selection are None."""
+    inner = _inner(settings)
+    stop = settle_threshold(target_volume, classes.dim, inner)
+    sels = list(colorful_selections(classes, k))
+    swept = sels
+    if stop is not None:
+        if _settled(_class_blocks(classes, classes.n_classes), inner, stop):
+            return HypothesisReport(True, len(sels), None, None, None, None)
+        settled = _settled(_class_blocks(classes, k), inner, stop)
+        swept = [sel for sel in sels if sel.class_indices() not in settled]
+    rep = _hypothesis_report(_sweep(classes, swept, settings, stop),
+                             target_volume)
+    return dataclasses.replace(rep, selections_checked=len(sels),
+                               min_volume=None, min_selection=None)
+
+
+def _settled(blocks, settings: SolverSettings, stop: float) -> dict:
+    """The blocks (``_class_blocks``) whose cover holds an inscribed
+    ellipsoid with log det B >= stop, as a dict from each class set T to
+    that ellipsoid's outcome; the covers are one ``mvie_batch``, whose error
+    is dropped."""
+    outcomes, _ = mvie_batch(list(blocks.values()), settings, stop)
+    return {T: out for T, out in zip(blocks, outcomes)
+            if out.objective >= stop}
 
 
 def _require_classes(classes: ColorClasses, n: int, what: str):
@@ -375,6 +440,64 @@ def _highest(outs):
     return max(outs, key=lambda so: so[1].objective)
 
 
+def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
+                    settings: SolverSettings):
+    """``_highest(_lowest(_sweep(...)))`` over the colorful k-selections,
+    bitwise, solving only the blocks whose bound can still decide it.
+
+    Each k-block's cover K_T (``_class_blocks``) lies inside every
+    selection of its block, so the height of a lowest ellipsoid lifted in
+    K_T bounds each of their lowest heights from above.  A block has a bound
+    only when its cover settles (``_settled`` at ``settle_threshold``),
+    which also settles that every selection of the block is lifted, so that
+    its computed height exceeds its lowest height by at most its gap; every
+    other block's bound is +inf, and with no threshold no cover is solved.
+    The selections of the highest-bound block and of every +inf block are
+    solved first; a block whose bound plus ``_PRUNE_GAPS`` height-gap
+    targets lies below their best height can hold neither the highest
+    selection nor one tied with it, and is pruned; the rest are solved in
+    one more sweep.  Every outcome is bitwise its lone solve's, so the pair,
+    and the first of exact ties in selection order, are the full sweep's.
+    When a solved selection fails, the full sweep runs and raises its first
+    error."""
+    inner = _inner(settings)
+    sels = list(colorful_selections(classes, k))
+    blocks = _class_blocks(classes, k)
+    bound = dict.fromkeys(blocks, math.inf)
+    stop = settle_threshold(target_volume, classes.dim, inner)
+    if stop is not None:
+        settled = _settled(blocks, inner, stop)
+        lifts, _ = lift_to_target([blocks[T] for T in settled],
+                                  (list(settled.values()), None),
+                                  target_volume, inner)
+        for T, low in zip(settled, lifts):
+            bound[T] = low.objective
+
+    def lowest(chosen):
+        swept, polytopes, batch = _sweep(
+            classes, [sel for sel in sels if sel.class_indices() in chosen],
+            settings)
+        outcomes, error = lift_to_target(polytopes, batch, target_volume,
+                                         inner)
+        return list(zip(swept, outcomes)), error
+
+    first = {T for T, b in bound.items() if b == math.inf}
+    finite = [T for T in bound if T not in first]
+    if finite:
+        first.add(max(finite, key=bound.get))
+    outs, error = lowest(first)
+    if error is None:
+        best = max(out.objective for _, out in outs)
+        margin = _PRUNE_GAPS * inner.gap_target
+        more, error = lowest({T for T in finite if T not in first
+                              and not bound[T] + margin < best})
+        outs = dict(outs + more)
+    if error is not None:
+        return _highest(_lowest(_sweep(classes, sels, settings),
+                                target_volume, settings))
+    return _highest([(sel, outs[sel]) for sel in sels if sel in outs])
+
+
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
     for mi, body in enumerate(members):
         if not ellipsoid_in_polytope(E, body, tol):
@@ -398,7 +521,7 @@ def colell_pipeline(classes: ColorClasses, target_volume: float,
     t_start = time.perf_counter()
     nc = classes.dim * (classes.dim + 3) // 2
     _require_classes(classes, nc, "pipeline")
-    sweep = _sweep(classes, nc, settings)
+    sweep = _sweep(classes, colorful_selections(classes, nc), settings)
     if check_hypothesis:
         _require_hypothesis(_hypothesis_report(sweep, target_volume),
                             "colorful")
@@ -453,12 +576,14 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
                       check_hypothesis: bool = True) -> PipelineReport:
     """Few-color-classes pipeline: 3d classes, colorful selections of 2d sets.
 
-    Checks the 2d-selection hypothesis for its verdict alone
+    Checks the 2d-selection hypothesis for its verdict alone, settled by
+    class-block covers where they clear the target
     (``_hypothesis_verdict``), constructs the highest lowest-ellipsoid over
-    (2d-1)-selections, normalizes it to the unit ball, cuts with the
-    height-1 half-space, extracts a common inscribed-ball radius over the
-    remaining d+1 families, and finds the witness class by the translate
-    search.
+    (2d-1)-selections, pruning the blocks whose cover bounds their heights
+    below one already computed (``_highest_lowest``), normalizes it to the
+    unit ball, cuts with the height-1 half-space, extracts a common
+    inscribed-ball radius over the remaining d+1 families, and finds the
+    witness class by the translate search.
     """
     t_start = time.perf_counter()
     d = classes.dim
@@ -468,8 +593,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
             classes, 2 * d, target_volume, settings), "colorful")
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
-    sel_star, best = _highest(_lowest(_sweep(classes, 2 * d - 1, settings),
-                                      target_volume, settings))
+    sel_star, best = _highest_lowest(classes, 2 * d - 1, target_volume,
+                                     settings)
     e_star = best.ellipsoid
 
     # (2) normalize so the chosen ellipsoid becomes the unit ball and its
@@ -512,8 +637,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
         d, tuple(tuple(transform_polytope(T, C) for C in classes.classes[ci])
                  for ci in remaining))
     with_cut = ColorClasses(d, rem_classes.classes + ((M,),))
-    minima = [min_semiaxis(out.ellipsoid)
-              for out in solved(_sweep(with_cut, d + 2, settings)[2])]
+    sweep = _sweep(with_cut, colorful_selections(with_cut, d + 2), settings)
+    minima = [min_semiaxis(out.ellipsoid) for out in solved(sweep[2])]
     r = min(minima)
     if r <= 0.0:
         raise NoWitness(f"common inscribed radius collapsed (r={r:.3e})",
@@ -561,7 +686,7 @@ def saxuso_scenario(classes: ColorClasses,
     rep = _require_hypothesis(verify_colorful_hypothesis(
         classes, 2 * classes.dim, 1.0, settings),
         "2d-selection") if check_hypothesis else None
-    sweep = _sweep(classes, nc, settings)
+    sweep = _sweep(classes, colorful_selections(classes, nc), settings)
     v = min(out.volume for out in solved(sweep[2]))
     report = _colell(classes, v * (1.0 - 1e-9), sweep, settings, t_start)
     certs = dict(report.certificates, worst_selection_volume=v,

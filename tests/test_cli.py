@@ -273,6 +273,27 @@ def test_thread_count_below_one_exit_4(nested_instance, value):
     assert code == EXIT_INPUT
 
 
+def test_parser_is_built_once_and_each_call_parses_its_own_argv(
+        square_instance, monkeypatch):
+    # main builds its parser once per process; a flag given in one call
+    # does not carry over to the next, which reads the defaults.
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    seen = []
+    parse = parser.parse_args
+
+    def recording(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    for extra in (["--threads", "2", "--tol-feas", "1e-8"], []):
+        code, _ = run_cli(["mvie", square_instance, "--out", "/dev/null"]
+                          + extra)
+        assert code == EXIT_OK
+    assert [(a.threads, a.tol_feas) for a in seen] == [(2, 1e-8), (1, 1e-9)]
+
+
 def test_valid_feasibility_tolerance_is_honoured(tmp_path):
     # The first body's Chebyshev margin is 1.029: a feasibility tolerance
     # above it makes the interior empty, one below it does not.

@@ -214,6 +214,15 @@ def test_hypothesis_numerical_failure_propagates():
         verify_colorful_hypothesis(cc, 2, 1.0, SolverSettings(max_iterations=1))
 
 
+def split_member_classes():
+    # five 4x4 squares and a class of two 4x4 squares shifted apart: each
+    # selection holds a 3x4 box (MVIE volume 3 pi), the whole family only a
+    # 2x4 box (2 pi)
+    square = [([2.0, 2.0], None)]
+    split = [([2.0, 2.0], [-1.0, 0.0]), ([2.0, 2.0], [1.0, 0.0])]
+    return classes_of_boxes(*[square] * 5, split)
+
+
 def box_copies(volume, n=6):
     """n classes of one square each, whose MVIE (a disc) has the volume."""
     w = math.sqrt(volume / math.pi)
@@ -234,6 +243,9 @@ VERDICT_CORPUS = {
     "tie": lambda: (*_generated("common-ball", 1365155147, 2, 6, 3), 4,
                     None),
     "far-member-2": lambda: (far_member_classes(), math.pi, 2, None),
+    # the whole family's cover fails, the 4-blocks without class 5 settle,
+    # and the selections of the others are swept and pass
+    "block-covers": lambda: (split_member_classes(), 8.0, 4, None),
     "far-member-3": lambda: (far_member_classes(), math.pi, 3, None),
     "adversarial": lambda: (*_generated("adversarial", 2, 2, 5, 2), 4, False),
     # below the threshold target (1 - 1e-6)(1 + 2e-6): solved in full, and
@@ -265,6 +277,22 @@ def test_theorem1_check_gives_the_full_checks_verdict(monkeypatch, name):
     assert any(early) if retires is None else early == [retires] * len(kkts)
 
 
+def test_block_covers_settle_where_the_whole_familys_does_not(start_lps):
+    # Only the 4-blocks without class 5 settle; the ten others are swept,
+    # two selections each, after the whole family's cover and the 15 block
+    # covers.
+    cc = split_member_classes()
+    inner = helly._inner(SolverSettings())
+    stop = solvers.settle_threshold(8.0, 2, inner)
+    assert not helly._settled(helly._class_blocks(cc, 6), inner, stop)
+    assert set(helly._settled(helly._class_blocks(cc, 4), inner, stop)) == {
+        (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)}
+    start_lps.clear()
+    rep = helly._hypothesis_verdict(cc, 4, 8.0, SolverSettings())
+    assert rep.passed and rep.selections_checked == 25
+    assert len(start_lps) == 1 + 15 + 20
+
+
 def test_theorem1_check_settles_selections_whose_full_solve_runs_out():
     # Each selection's MVIE takes more than 30 Newton steps, but its iterate
     # clears the target before that, so theorem1's check passes where the
@@ -274,6 +302,20 @@ def test_theorem1_check_settles_selections_whose_full_solve_runs_out():
     with pytest.raises(MaxIterations):
         verify_colorful_hypothesis(cc, 4, 0.95 * math.pi, settings)
     assert helly._hypothesis_verdict(cc, 4, 0.95 * math.pi, settings).passed
+
+
+def test_theorem1_check_settles_by_a_cover_what_its_sweep_cannot():
+    # A selection of the four 2000x2 boxes takes more than 13 Newton steps
+    # to settle, and raises; the whole family's cover, the 2x2 square,
+    # settles within them, so theorem1's check passes.
+    long_or_square = [([1000.0, 1.0], None), ([1.0, 1.0], None)]
+    cc = classes_of_boxes(*[long_or_square] * 6)
+    settings = SolverSettings(max_iterations=13)
+    stop = solvers.settle_threshold(2.8, 2, helly._inner(settings))
+    with pytest.raises(MaxIterations):
+        helly._hypothesis_report(helly._sweep(
+            cc, colorful_selections(cc, 4), settings, stop), 2.8)
+    assert helly._hypothesis_verdict(cc, 4, 2.8, settings).passed
 
 
 def test_hypothesis_k1_singletons_reduces_to_per_body_mvie():
@@ -442,6 +484,69 @@ def test_each_full_selection_solved_once(start_lps):
 
 # ---------------------------------------------------------------------------
 # theorem1 pipeline
+
+
+# name -> (classes, target) of theorem1's (2d-1)-selection stage
+HIGHEST_CORPUS = {
+    "common-ball-1": lambda: _generated("common-ball", 1, 2, 6, 3),
+    "common-ball-2": lambda: _generated("common-ball", 2, 2, 6, 3),
+    "common-ball-3": lambda: _generated("common-ball", 3, 2, 6, 3),
+    "tie": lambda: _generated("common-ball", 1365155147, 2, 6, 3),
+    # no cover is lifted, so no block has a bound and none is pruned
+    "near-target": lambda: (box_copies(1.0 - 5e-7), 1.0),
+    "d3": lambda: _generated("common-ball", 3, 3, 9, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHEST_CORPUS))
+def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
+    cc, target = HIGHEST_CORPUS[name]()
+    k = 2 * cc.dim - 1
+    settings = SolverSettings()
+    outs = helly._lowest(helly._sweep(
+        cc, colorful_selections(cc, k), settings), target, settings)
+    want_sel, want = helly._highest(outs)
+    solved = []
+    sweep = helly._sweep
+
+    def recording(classes, selections, settings, stop=None):
+        out = sweep(classes, selections, settings, stop)
+        solved.extend(out[0])
+        return out
+
+    monkeypatch.setattr(helly, "_sweep", recording)
+    sel, got = helly._highest_lowest(cc, k, target, settings)
+    assert sel == want_sel
+    for a, b in ((got.ellipsoid.shape, want.ellipsoid.shape),
+                 (got.ellipsoid.center, want.ellipsoid.center)):
+        assert a.tobytes() == b.tobytes()
+    assert got.objective == want.objective
+    assert len(set(solved)) == len(solved)
+    if name == "near-target":
+        assert solved == list(colorful_selections(cc, k))
+    elif name == "tie":
+        # eight selections lie within 1e-12 of the greatest height, the
+        # next 5.5e-3 below it
+        near = [s for s, o in outs if o.objective >= want.objective - 1e-12]
+        assert len(near) == 8 and set(near) <= set(solved)
+    elif name.startswith("common-ball"):
+        assert len(solved) < selection_count(cc, k)
+
+
+def test_pruned_stage_skips_a_block_whose_lifts_run_out():
+    # The three low classes' block holds 400x2 boxes, whose solves take
+    # more than 55 Newton steps.  Its cover, the 2x2
+    # square, bounds their heights below the high classes' best, so the
+    # block is pruned and the stage returns where the full sweep raises.
+    high = [([1.0, 1.0], [0.0, 1.0])]
+    low = [([200.0, 1.0], None), ([1.0, 1.0], None)]
+    cc = classes_of_boxes(high, high, high, low, low, low)
+    settings = SolverSettings(max_iterations=55)
+    with pytest.raises(MaxIterations):
+        helly._lowest(helly._sweep(cc, colorful_selections(cc, 3), settings),
+                      1.0, settings)
+    sel, _ = helly._highest_lowest(cc, 3, 1.0, settings)
+    assert sel == helly._highest_lowest(cc, 3, 1.0, SolverSettings())[0]
 
 
 def test_theorem1_identical_squares():
