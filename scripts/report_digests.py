@@ -11,7 +11,7 @@
 exits 1.
 
 Runs ``mvie``, ``lowest``, ``verify-hypothesis`` (at the instance's class
-count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on five
+count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on six
 input sets, written here from fixed seeds or fixed data:
 
 * the five criterion-10 fixtures of ``tests/test_acceptance.py``;
@@ -36,7 +36,11 @@ input sets, written here from fixed seeds or fixed data:
   emitted and parsed, so that a change in which selection wins a tie shows;
   and ``theorem1-tie``, whose theorem1 has eight (2d-1)-selections within
   1e-12 of the greatest height, so that a change in the last bits of their
-  heights shows.
+  heights shows;
+* one instance, ``theorem1-slide``, run with ``run theorem1`` alone, on
+  which the top block's lowest ellipsoid slides down inside every selection
+  of its block, so that no (2d-1)-selection's height bound lies near that
+  block's bound.
 
 Each input first prints one line with the sha256 of its emitted instance
 text and of that text parsed and emitted again.  Each invocation then prints
@@ -46,12 +50,12 @@ its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
 ``run colell`` or ``run theorem1`` line, on the ``ell-d2`` inputs each
-``run ell`` line, and on the ``theorem1-d2`` and ``near-target-6`` inputs
-each ``run theorem1`` line, is followed by a ``work`` line with the number
-of LPs the invocation solved (parsing included) and of the stacked Newton
-systems the barrier engine solved, with their total rows (calls of
-``solvers._newton_directions``), so that a change in the work a pipeline
-does shows beside reports that do not move.
+``run ell`` line, and on the ``theorem1-d2``, ``near-target-6`` and
+``theorem1-slide`` inputs each ``run theorem1`` line, is followed by a
+``work`` line with the number of LPs the invocation solved (parsing
+included) and of the stacked Newton systems the barrier engine solved,
+with their total rows (calls of ``solvers._newton_directions``), so that a
+change in the work a pipeline does shows beside reports that do not move.
 
 Reports round to 12 significant digits, so a last section digests the
 solvers' bits: ``mvie_batch`` and its lift to lowest ellipsoids
@@ -98,7 +102,8 @@ WORKLOAD_SEEDS = (1, 2, 3)
 WORK = (("colell-d3-", ["run", "colell"]),
         ("colell-d3-", ["run", "theorem1"]), ("ell-d2-", ["run", "ell"]),
         ("theorem1-d2-", ["run", "theorem1"]),
-        ("near-target-6", ["run", "theorem1"]))
+        ("near-target-6", ["run", "theorem1"]),
+        ("theorem1-slide", ["run", "theorem1"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
@@ -109,6 +114,9 @@ LONE_SOLVES = 8
 # (label, generator spec) of each instance with tied selections
 TIES = [("ties", ("common-ball", 8, 2, 5, 2)),
         ("theorem1-tie", ("common-ball", 1365155147, 2, 6, 3))]
+# (label, generator spec, commands) of each input run with some commands only
+ONLY = [("theorem1-slide", ("common-ball", 1574170570, 2, 6, 3),
+         [["run", "theorem1"]])]
 _W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.0e-7
 NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
@@ -346,6 +354,8 @@ def main(argv=None) -> int:
     inputs += [("near-target", NEAR_TARGET, False),
                ("near-target-6", NEAR_TARGET_6, False)]
     inputs += [(label, GeneratorSpec(*spec), False) for label, spec in TIES]
+    inputs += [(label, GeneratorSpec(*spec), False) for label, spec, _ in ONLY]
+    only = {label: cmds for label, _, cmds in ONLY}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for label, spec, adversarial in inputs:
@@ -359,7 +369,8 @@ def main(argv=None) -> int:
             again = emit_instance(parse_instance(path))
             print(f"{label} instance: emit={_sha(text.encode())} "
                   f"roundtrip={_sha(again.encode())}", flush=True)
-            for cmd in _commands(inst.dimension, adversarial):
+            for cmd in only.get(label) or _commands(inst.dimension,
+                                                    adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]
                 with _counted_work() as work:

@@ -20,12 +20,16 @@ class-block covers first (``_class_blocks``): for a set T of classes, the
 cover K_T, the intersection of every member of T's classes, lies inside
 every selection drawn from T's classes (T's block).  An inscribed ellipsoid
 of K_T that clears the target settles the block's hypothesis selections,
-and the whole family's cover settles all of them (``_hypothesis_verdict``).
-A lowest ellipsoid lifted in K_T bounds the heights of the block's
-selections from above, so a block whose bound lies below a height already
-computed is pruned from the (2d-1)-selection sweep (``_highest_lowest``).
-Only the selections left are swept, each with the bits of its lone solve,
-so both stages report what a sweep of every selection reports.
+and the whole family's cover, solved once per pipeline (``_whole_cover``),
+settles all of them (``_hypothesis_verdict``).  A lowest ellipsoid E_T
+lifted in K_T, from the whole family's settled ellipsoid where there is one,
+bounds the heights of the block's selections from above.  Slid down inside
+a selection's members until it meets a wall, E_T bounds that selection's
+height lower still (``_height_bounds``), so a selection whose bound lies
+below a height already computed is pruned from the (2d-1)-selection sweep
+(``_highest_lowest``).  Only the selections left are swept, each with the
+bits of its lone solve, so both stages report what a sweep of every
+selection reports.
 """
 from __future__ import annotations
 
@@ -52,14 +56,18 @@ from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
 _RADIUS_SHRINK = 1e-6
-# A block of theorem1's (2d-1)-selections is pruned when its height bound
+# A (2d-1)-selection of theorem1 is pruned when its height bound
 # plus this many height-gap targets lies below a computed height.  A lift
 # ends centered at a height gap of (m+1)/t of at most its gap target, and its
 # final iterate is feasible, so a selection's computed height exceeds its
-# lowest height, at most its block's bound, by at most about one gap target;
+# lowest height, at most its bound, by at most about one gap target;
 # twenty leave room for the last Newton decrement and for rounding.  The
 # margin is absolute, like the other height tolerances.
 _PRUNE_GAPS = 20.0
+# A selection's height bound slides its block's lowest ellipsoid this
+# fraction short of the first wall it meets, so that rounding leaves every
+# slack of the translate nonnegative.
+_SLIDE_SHORT = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,15 +223,21 @@ def _class_blocks(classes: ColorClasses, k: int) -> dict:
     cover K_T, the intersection of every member of every class in T.  The
     colorful k-selections drawn from T's classes (T's block) are contiguous
     in selection order, and K_T lies inside each of their intersections.
-    Each cover repeats its last row up to the largest row count, which
-    leaves it the same set, so the covers solve as one stack."""
-    covers = {T: intersect_all([body for c in T
-                                for body in classes.classes[c]])
-              for T in itertools.combinations(range(classes.n_classes), k)}
-    rows = max(len(K.b) for K in covers.values())
-    return {T: HPolytope(np.pad(K.A, ((0, rows - len(K.b)), (0, 0)), "edge"),
-                         np.pad(K.b, (0, rows - len(K.b)), "edge"))
-            for T, K in covers.items()}
+    A cover keeps the first of each exactly repeated (a, b) row, then
+    repeats its last row up to the largest row count; neither changes the
+    set, and the covers solve as one stack."""
+    # each class's (a, b) rows, its members' stacked in order
+    rows = [np.vstack([np.column_stack([P.A, P.b]) for P in members])
+            for members in classes.classes]
+    covers = {}
+    for T in itertools.combinations(range(classes.n_classes), k):
+        R = np.vstack([rows[c] for c in T])
+        _, first = np.unique(R, axis=0, return_index=True)
+        covers[T] = R[np.sort(first)]
+    m = max(len(R) for R in covers.values())
+    padded = {T: np.pad(R, ((0, m - len(R)), (0, 0)), "edge")
+              for T, R in covers.items()}
+    return {T: HPolytope(R[:, :-1], R[:, -1]) for T, R in padded.items()}
 
 
 def _lowest(sweep, target_volume: float, settings: SolverSettings) -> list:
@@ -349,27 +363,31 @@ def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
 
 
 def _hypothesis_verdict(classes: ColorClasses, k: int, target_volume: float,
-                        settings: SolverSettings) -> HypothesisReport:
+                        settings: SolverSettings,
+                        whole: Optional[dict] = None) -> HypothesisReport:
     """The passed, failure, failure_reason and selections_checked of
     ``verify_colorful_hypothesis``, settled by covers where they can be.
 
     An inscribed ellipsoid whose log det B reaches ``settle_threshold``
     settles that every selection whose intersection holds it passes.  The
     whole family's intersection lies in every selection's, so when its
-    cover settles, the check passes.  Otherwise each k-block's cover
-    (``_class_blocks``) settles its block, and the selections of the other
-    blocks are swept in selection order, each stopped once it settles; the
-    ones below that, and every failure, are solved in full, so the first
-    failure is the full check's.  A cover's error only leaves its block,
-    and the blocks after it, to the sweep.  With no threshold, no cover is
-    solved.  A stopped volume is only a lower bound, so min_volume and
-    min_selection are None."""
+    cover settles (``whole``, the ``_whole_cover`` solved here when None),
+    the check passes.  Otherwise each k-block's cover (``_class_blocks``)
+    settles its block, and the selections of the other blocks are swept in
+    selection order, each stopped once it settles; the ones below that, and
+    every failure, are solved in full, so the first failure is the full
+    check's.  A cover's error only leaves its block, and the blocks after
+    it, to the sweep.  With no threshold, no cover is solved.  A stopped
+    volume is only a lower bound, so min_volume and min_selection are
+    None."""
     inner = _inner(settings)
     stop = settle_threshold(target_volume, classes.dim, inner)
     sels = list(colorful_selections(classes, k))
     swept = sels
     if stop is not None:
-        if _settled(_class_blocks(classes, classes.n_classes), inner, stop):
+        if whole is None:
+            whole = _whole_cover(classes, target_volume, settings)
+        if whole:
             return HypothesisReport(True, len(sels), None, None, None, None)
         settled = _settled(_class_blocks(classes, k), inner, stop)
         swept = [sel for sel in sels if sel.class_indices() not in settled]
@@ -387,6 +405,19 @@ def _settled(blocks, settings: SolverSettings, stop: float) -> dict:
     outcomes, _ = mvie_batch(list(blocks.values()), settings, stop)
     return {T: out for T, out in zip(blocks, outcomes)
             if out.objective >= stop}
+
+
+def _whole_cover(classes: ColorClasses, target_volume: float,
+                 settings: SolverSettings) -> dict:
+    """``_settled`` over the one block of every class: the whole family's
+    cover, which lies inside every selection's intersection, mapped to its
+    settled inscribed ellipsoid, or {} when it does not settle or
+    ``settle_threshold`` is None."""
+    inner = _inner(settings)
+    stop = settle_threshold(target_volume, classes.dim, inner)
+    if stop is None:
+        return {}
+    return _settled(_class_blocks(classes, classes.n_classes), inner, stop)
 
 
 def _require_classes(classes: ColorClasses, n: int, what: str):
@@ -440,57 +471,122 @@ def _highest(outs):
     return max(outs, key=lambda so: so[1].objective)
 
 
-def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
-                    settings: SolverSettings):
-    """``_highest(_lowest(_sweep(...)))`` over the colorful k-selections,
-    bitwise, solving only the blocks whose bound can still decide it.
+def _slide_directions(d: int) -> np.ndarray:
+    """The unit directions, as rows, along which ``_height_bounds`` slides a
+    lowest ellipsoid down: -e_d, and -e_d tilted toward +e_j and toward -e_j
+    by 10, 20, ..., 80 degrees for each j < d.  Each has v_d < 0."""
+    tilt = np.arange(1, 9) * (math.pi / 18)
+    dirs = [-np.eye(d)[-1:]]
+    for j in range(d - 1):
+        for sign in (1.0, -1.0):
+            v = np.zeros((len(tilt), d))
+            v[:, j] = sign * np.sin(tilt)
+            v[:, -1] = -np.cos(tilt)
+            dirs.append(v)
+    return np.vstack(dirs)
 
-    Each k-block's cover K_T (``_class_blocks``) lies inside every
-    selection of its block, so the height of a lowest ellipsoid lifted in
-    K_T bounds each of their lowest heights from above.  A block has a bound
-    only when its cover settles (``_settled`` at ``settle_threshold``),
-    which also settles that every selection of the block is lifted, so that
-    its computed height exceeds its lowest height by at most its gap; every
-    other block's bound is +inf, and with no threshold no cover is solved.
-    The selections of the highest-bound block and of every +inf block are
-    solved first; a block whose bound plus ``_PRUNE_GAPS`` height-gap
-    targets lies below their best height can hold neither the highest
-    selection nor one tied with it, and is pruned; the rest are solved in
-    one more sweep.  Every outcome is bitwise its lone solve's, so the pair,
-    and the first of exact ties in selection order, are the full sweep's.
-    When a solved selection fails, the full sweep runs and raises its first
-    error."""
+
+def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
+                   settings: SolverSettings, whole: Optional[dict] = None):
+    """Upper bounds on the lowest heights of the colorful k-selections, as
+    (a dict from each k-block's class set T to its bound, an array of each
+    selection's bound in selection order).
+
+    T's bound h_T is the height of a lowest ellipsoid E_T lifted in its
+    cover K_T (``_class_blocks``), which lies inside every selection of
+    T's block.  When the whole family's cover settles (``whole``, the
+    ``_whole_cover`` solved here when None), its ellipsoid lies inside every
+    K_T and is every block's lift start, with no cover solved; otherwise the
+    blocks' covers are solved, and a block has a bound only when its cover
+    settles (``_settled`` at ``settle_threshold``).  Either way every
+    selection of a bounded block holds a settled ellipsoid, so it is lifted
+    and its computed height exceeds its lowest height by at most its gap.
+
+    For a unit direction v with v_d < 0, E_T + s v stays inside a member P
+    of T's classes up to the step s_P(v), the least slack(E_T) / (a . v)
+    over P's rows with a . v > 0.  A selection S therefore holds
+    E_T + s_S(v) v, s_S(v) the least s_P(v) over its members, an ellipsoid
+    of the target volume at height h_T + s_S(v) v_d.  S's bound is the
+    least of these over ``_slide_directions``, each step taken a hair short
+    so that every translated slack stays nonnegative; it is at most h_T.
+    Every block without a bound, and each of its selections, gets +inf."""
     inner = _inner(settings)
-    sels = list(colorful_selections(classes, k))
     blocks = _class_blocks(classes, k)
-    bound = dict.fromkeys(blocks, math.inf)
+    low = {}
     stop = settle_threshold(target_volume, classes.dim, inner)
     if stop is not None:
-        settled = _settled(blocks, inner, stop)
+        if whole is None:
+            whole = _whole_cover(classes, target_volume, settings)
+        settled = (dict.fromkeys(blocks, *whole.values()) if whole
+                   else _settled(blocks, inner, stop))
         lifts, _ = lift_to_target([blocks[T] for T in settled],
                                   (list(settled.values()), None),
                                   target_volume, inner)
-        for T, low in zip(settled, lifts):
-            bound[T] = low.objective
+        low = dict(zip(settled, lifts))
+    dirs = _slide_directions(classes.dim)
+    # per class: its members' rows stacked, their rates a . v, and where
+    # each member's rows start
+    walls = []
+    for members in classes.classes:
+        P = intersect_all(members)
+        walls.append((P, P.A @ dirs.T,
+                     np.cumsum([0] + [len(Q.b) for Q in members[:-1]])))
+    block_bounds, bounds = {}, []
+    for T in blocks:
+        if T not in low:
+            block_bounds[T] = math.inf
+            bounds.append(np.full(math.prod(len(classes.classes[c])
+                                            for c in T), math.inf))
+            continue
+        E, h = low[T].ellipsoid, low[T].objective
+        # the steps of every selection of T's block, built class by class
+        # in itertools.product order, one row per selection
+        steps = np.full((1, len(dirs)), math.inf)
+        for P, rate, starts in (walls[c] for c in T):
+            slack = np.maximum(polytope_slacks(E, P), 0.0)[:, None]
+            member = np.minimum.reduceat(
+                np.divide(slack, rate, out=np.full(rate.shape, math.inf),
+                          where=rate > 0.0), starts, axis=0)
+            steps = np.minimum(steps[:, None], member).reshape(-1, len(dirs))
+        block_bounds[T] = h
+        bounds.append(h + (steps * (1.0 - _SLIDE_SHORT)
+                           * dirs[:, -1]).min(axis=1))
+    return block_bounds, np.concatenate(bounds)
+
+
+def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
+                    settings: SolverSettings, whole: Optional[dict] = None):
+    """``_highest(_lowest(_sweep(...)))`` over the colorful k-selections,
+    bitwise, solving only the selections whose bound can still decide it.
+
+    Each selection's bound (``_height_bounds``, from the whole family's
+    cover ``whole`` where it settles) lies above its lowest height, and its
+    computed height exceeds that by at most about one gap target.  The
+    selections whose bound lies within two ``_PRUNE_GAPS`` height-gap
+    targets of the highest bound are solved first; a selection whose bound
+    plus ``_PRUNE_GAPS`` gap targets lies below their best height can be
+    neither the highest selection nor one tied with it, so only the others
+    are solved, in one more sweep.  Every outcome is bitwise its lone
+    solve's, so the pair, and the first of exact ties in selection order,
+    are the full sweep's.  When a solved selection fails, the full sweep
+    runs and raises its first error."""
+    inner = _inner(settings)
+    sels = list(colorful_selections(classes, k))
+    _, bound = _height_bounds(classes, k, target_volume, settings, whole)
+    margin = _PRUNE_GAPS * inner.gap_target
 
     def lowest(chosen):
         swept, polytopes, batch = _sweep(
-            classes, [sel for sel in sels if sel.class_indices() in chosen],
-            settings)
+            classes, itertools.compress(sels, chosen), settings)
         outcomes, error = lift_to_target(polytopes, batch, target_volume,
                                          inner)
         return list(zip(swept, outcomes)), error
 
-    first = {T for T, b in bound.items() if b == math.inf}
-    finite = [T for T in bound if T not in first]
-    if finite:
-        first.add(max(finite, key=bound.get))
+    first = bound >= bound.max() - 2.0 * margin
     outs, error = lowest(first)
     if error is None:
         best = max(out.objective for _, out in outs)
-        margin = _PRUNE_GAPS * inner.gap_target
-        more, error = lowest({T for T in finite if T not in first
-                              and not bound[T] + margin < best})
+        more, error = lowest(~first & ~(bound + margin < best))
         outs = dict(outs + more)
     if error is not None:
         return _highest(_lowest(_sweep(classes, sels, settings),
@@ -576,25 +672,28 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
                       check_hypothesis: bool = True) -> PipelineReport:
     """Few-color-classes pipeline: 3d classes, colorful selections of 2d sets.
 
-    Checks the 2d-selection hypothesis for its verdict alone, settled by
-    class-block covers where they clear the target
-    (``_hypothesis_verdict``), constructs the highest lowest-ellipsoid over
-    (2d-1)-selections, pruning the blocks whose cover bounds their heights
-    below one already computed (``_highest_lowest``), normalizes it to the
-    unit ball, cuts with the height-1 half-space, extracts a common
+    Solves the whole family's cover once (``_whole_cover``), also when the
+    hypothesis check is skipped.  Checks the 2d-selection hypothesis for its
+    verdict alone, settled by that cover, or by class-block covers, where
+    they clear the target (``_hypothesis_verdict``), constructs the highest
+    lowest-ellipsoid over (2d-1)-selections, pruning the selections whose
+    height bound, slid down from their block's lowest ellipsoid, lies below
+    one already computed (``_highest_lowest``), normalizes it to the unit
+    ball, cuts with the height-1 half-space, extracts a common
     inscribed-ball radius over the remaining d+1 families, and finds the
     witness class by the translate search.
     """
     t_start = time.perf_counter()
     d = classes.dim
     _require_classes(classes, 3 * d, "pipeline")
+    whole = _whole_cover(classes, target_volume, settings)
     if check_hypothesis:
         _require_hypothesis(_hypothesis_verdict(
-            classes, 2 * d, target_volume, settings), "colorful")
+            classes, 2 * d, target_volume, settings, whole), "colorful")
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
     sel_star, best = _highest_lowest(classes, 2 * d - 1, target_volume,
-                                     settings)
+                                     settings, whole)
     e_star = best.ellipsoid
 
     # (2) normalize so the chosen ellipsoid becomes the unit ball and its

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from quanthelly import (ColorClasses, ColorfulSelection, Ellipsoid, HPolytope,
                         lowest_ellipsoid, minkowski_difference, mvie,
                         saxuso_scenario, theorem1_pipeline,
                         verify_colorful_hypothesis)
-from quanthelly import helly, solvers
+from quanthelly import geometry, helly, solvers
 from quanthelly.errors import (HypothesisViolated, InstanceError,
                                MaxIterations, NoWitness, VolumeInfeasible)
 from quanthelly.geometry import chebyshev_center
@@ -495,16 +496,27 @@ HIGHEST_CORPUS = {
     # no cover is lifted, so no block has a bound and none is pruned
     "near-target": lambda: (box_copies(1.0 - 5e-7), 1.0),
     "d3": lambda: _generated("common-ball", 3, 3, 9, 2),
+    # the top block's lowest ellipsoid slides down inside every selection
+    # of its block, so no selection's bound comes near that block's bound
+    "slide": lambda: _generated("common-ball", 1574170570, 2, 6, 3),
 }
+
+
+@functools.cache
+def _full_stage(name):
+    """The corpus case's classes, target, k and the full stage's
+    (selection, lowest outcome) pairs."""
+    cc, target = HIGHEST_CORPUS[name]()
+    k = 2 * cc.dim - 1
+    settings = SolverSettings()
+    return cc, target, k, helly._lowest(helly._sweep(
+        cc, colorful_selections(cc, k), settings), target, settings)
 
 
 @pytest.mark.parametrize("name", sorted(HIGHEST_CORPUS))
 def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
-    cc, target = HIGHEST_CORPUS[name]()
-    k = 2 * cc.dim - 1
+    cc, target, k, outs = _full_stage(name)
     settings = SolverSettings()
-    outs = helly._lowest(helly._sweep(
-        cc, colorful_selections(cc, k), settings), target, settings)
     want_sel, want = helly._highest(outs)
     solved = []
     sweep = helly._sweep
@@ -529,8 +541,78 @@ def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
         # next 5.5e-3 below it
         near = [s for s, o in outs if o.objective >= want.objective - 1e-12]
         assert len(near) == 8 and set(near) <= set(solved)
+    elif name == "slide":
+        # a first round of the selections whose bound lies near the top
+        # block's bound would be empty
+        blocks, bound = helly._height_bounds(cc, k, target, settings)
+        margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
+        assert bound.max() < max(blocks.values()) - 2.0 * margin
     elif name.startswith("common-ball"):
-        assert len(solved) < selection_count(cc, k)
+        # the selection bounds prune at least what their blocks' bounds
+        # would; on seed 3 only the top block is left, and each of its six
+        # selections has a bound within 4e-5 of the best height
+        blocks, _ = helly._height_bounds(cc, k, target, settings)
+        margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
+        unpruned = [s for s, _ in outs
+                    if blocks[s.class_indices()] + margin >= want.objective]
+        assert len(unpruned) < selection_count(cc, k)
+        assert len(solved) < len(unpruned) or name == "common-ball-3"
+        assert len(solved) <= len(unpruned)
+
+
+@pytest.mark.parametrize("name", ["common-ball-1", "common-ball-2",
+                                  "common-ball-3", "d3", "slide"])
+def test_selection_bounds_hold_the_full_stages_heights(name):
+    cc, target, k, outs = _full_stage(name)
+    settings = SolverSettings()
+    blocks, bound = helly._height_bounds(cc, k, target, settings)
+    margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
+    assert len(bound) == len(outs)
+    assert np.isfinite(list(blocks.values())).all()
+    for (sel, out), b in zip(outs, bound):
+        assert out.objective <= b + margin
+        assert b <= blocks[sel.class_indices()]
+
+
+def test_a_settled_whole_cover_is_reused_without_cover_solves(monkeypatch):
+    # With the whole family's cover settled, the (2d-1) stage's LPs and
+    # MVIEs are the start LPs and MVIEs of the selections it sweeps.
+    cc, target = HIGHEST_CORPUS["common-ball-1"]()
+    settings = SolverSettings()
+    whole = helly._whole_cover(cc, target, settings)
+    assert whole
+    lps, mvies, swept = [], [], []
+    lp, batch, sweep = geometry._lp, helly.mvie_batch, helly._sweep
+
+    def counting_lp(*args):
+        lps.append(args)
+        return lp(*args)
+
+    def recording_batch(polytopes, *args):
+        mvies.extend(polytopes)
+        return batch(polytopes, *args)
+
+    def recording_sweep(*args):
+        out = sweep(*args)
+        swept.extend(out[0])
+        return out
+
+    monkeypatch.setattr(geometry, "_lp", counting_lp)
+    monkeypatch.setattr(helly, "mvie_batch", recording_batch)
+    monkeypatch.setattr(helly, "_sweep", recording_sweep)
+    sel, out = helly._highest_lowest(cc, 3, target, settings, whole)
+    assert 0 < len(swept) == len(mvies) == len(lps)
+    monkeypatch.undo()
+    # the blocks' own covers give the same pair
+    sel_b, out_b = helly._highest_lowest(cc, 3, target, settings, {})
+    assert sel == sel_b
+    assert out.ellipsoid.center.tobytes() == out_b.ellipsoid.center.tobytes()
+    checked, unchecked = (
+        theorem1_pipeline(cc, target, check_hypothesis=check).to_dict()
+        for check in (True, False))
+    checked.pop("wall_time")
+    unchecked.pop("wall_time")
+    assert checked == unchecked
 
 
 def test_pruned_stage_skips_a_block_whose_lifts_run_out():
