@@ -20,27 +20,31 @@ input sets, written here from fixed seeds or fixed data:
 * three instances of each benchmark workload's generator spec
   (``perfbench/workloads.py``).  At d=3, ``run saxuso`` is left out: its
   6-selection hypothesis sweep holds 377-1002 selections per instance and
-  would take most of the run time.  ``run theorem1`` runs there too: its
-  class-block covers settle its 6-selection check and prune its
-  5-selection sweep, so it solves only a fraction of those selections;
+  would take most of the run time.  ``run theorem1`` runs there too: the
+  whole family's cover settles its 6-selection check and bounds the heights
+  that prune its 5-selection sweep, so it solves only a fraction of those
+  selections;
 * one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
   lowest-ellipsoid stages must apply the same volume rule, and one of six
   copies (``near-target-6``), the class count ``run theorem1`` takes at
-  d=2, so that theorem1's hypothesis check, which stops a selection once
-  its inscribed volume clears the target with headroom, must solve these
-  selections in full and still pass them;
+  d=2, on which the whole family's cover, the one box, does not clear the
+  target with headroom, so that theorem1 must solve every selection of both
+  its stages in full and still pass its hypothesis check;
 * two instances with tied selections: ``ties``, whose colell has two full
   selections at the greatest height bit for bit, also after the instance is
   emitted and parsed, so that a change in which selection wins a tie shows;
   and ``theorem1-tie``, whose theorem1 has eight (2d-1)-selections within
   1e-12 of the greatest height, so that a change in the last bits of their
   heights shows;
-* one instance, ``theorem1-slide``, run with ``run theorem1`` alone, on
+* two instances run with ``run theorem1`` alone: ``theorem1-slide``, on
   which the top block's lowest ellipsoid slides down inside every selection
   of its block, so that no (2d-1)-selection's height bound lies near that
-  block's bound.
+  block's bound; and ``theorem1-split``, five 4x4 squares and a class of
+  two 4x4 squares shifted apart at target 8, on which every selection holds
+  a 3x4 box but the whole family's cover only a 2x4 box, so that theorem1
+  passes its hypothesis check by the full check.
 
 Each input first prints one line with the sha256 of its emitted instance
 text and of that text parsed and emitted again.  Each invocation then prints
@@ -50,8 +54,9 @@ its standard output.  Two checkouts that generate, parse and emit the same
 instance bytes, and whose reports are byte-identical apart from
 ``wall_time``, print identical files.  On the ``colell-d3`` inputs, each
 ``run colell`` or ``run theorem1`` line, on the ``ell-d2`` inputs each
-``run ell`` line, and on the ``theorem1-d2``, ``near-target-6`` and
-``theorem1-slide`` inputs each ``run theorem1`` line, is followed by a
+``run ell`` line, and on the ``theorem1-d2``, ``near-target-6``,
+``theorem1-slide`` and ``theorem1-split`` inputs each ``run theorem1``
+line, is followed by a
 ``work`` line with the number of LPs the invocation solved (parsing
 included) and of the stacked Newton systems the barrier engine solved,
 with their total rows (calls of ``solvers._newton_directions``), so that a
@@ -103,7 +108,8 @@ WORK = (("colell-d3-", ["run", "colell"]),
         ("colell-d3-", ["run", "theorem1"]), ("ell-d2-", ["run", "ell"]),
         ("theorem1-d2-", ["run", "theorem1"]),
         ("near-target-6", ["run", "theorem1"]),
-        ("theorem1-slide", ["run", "theorem1"]))
+        ("theorem1-slide", ["run", "theorem1"]),
+        ("theorem1-split", ["run", "theorem1"]))
 # (kind, seed, dimension, classes, members, k) of each solver-bit stack: the
 # colorful k-selections of that instance, 63 problems each
 SOLVER_STACKS = [("common-ball", 7, 2, 6, 2, 3), ("common-ball", 7, 3, 9, 2, 2)]
@@ -114,14 +120,28 @@ LONE_SOLVES = 8
 # (label, generator spec) of each instance with tied selections
 TIES = [("ties", ("common-ball", 8, 2, 5, 2)),
         ("theorem1-tie", ("common-ball", 1365155147, 2, 6, 3))]
-# (label, generator spec, commands) of each input run with some commands only
-ONLY = [("theorem1-slide", ("common-ball", 1574170570, 2, 6, 3),
-         [["run", "theorem1"]])]
 _W = 0.5641894425   # half-width of the near-target box: pi w^2 = 1 - 5.0e-7
 NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
     {"a": [0.0, 1.0], "b": _W}, {"a": [0.0, -1.0], "b": _W}]]] * 5}
 NEAR_TARGET_6 = dict(NEAR_TARGET, classes=NEAR_TARGET["classes"][:1] * 6)
+
+
+def _square(x):
+    """The rows of the 4x4 square centered at (x, 0), in HPolytope.box's
+    order."""
+    return [{"a": a, "b": b} for a, b in zip(
+        ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]),
+        (2.0 + x, 2.0, 2.0 - x, 2.0))]
+
+
+SPLIT = {"dimension": 2, "target_volume": 8.0,
+         "classes": [[_square(0.0)]] * 5 + [[_square(-1.0), _square(1.0)]]}
+# (label, generator spec or instance document, commands) of each input run
+# with some commands only
+ONLY = [("theorem1-slide", ("common-ball", 1574170570, 2, 6, 3),
+         [["run", "theorem1"]]),
+        ("theorem1-split", SPLIT, [["run", "theorem1"]])]
 
 
 def _without_wall_time(obj):
@@ -354,7 +374,8 @@ def main(argv=None) -> int:
     inputs += [("near-target", NEAR_TARGET, False),
                ("near-target-6", NEAR_TARGET_6, False)]
     inputs += [(label, GeneratorSpec(*spec), False) for label, spec in TIES]
-    inputs += [(label, GeneratorSpec(*spec), False) for label, spec, _ in ONLY]
+    inputs += [(label, spec if isinstance(spec, dict) else GeneratorSpec(*spec),
+                False) for label, spec, _ in ONLY]
     only = {label: cmds for label, _, cmds in ONLY}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -16,20 +16,20 @@ ellipsoids reach the greatest height exactly, the first selection in order
 defines the pipeline, so a report depends only on the instance and settings.
 
 theorem1 reads only a verdict and an argmax from its sweeps, so it solves
-class-block covers first (``_class_blocks``): for a set T of classes, the
-cover K_T, the intersection of every member of T's classes, lies inside
-every selection drawn from T's classes (T's block).  An inscribed ellipsoid
-of K_T that clears the target settles the block's hypothesis selections,
-and the whole family's cover, solved once per pipeline (``_whole_cover``),
-settles all of them (``_hypothesis_verdict``).  A lowest ellipsoid E_T
-lifted in K_T, from the whole family's settled ellipsoid where there is one,
-bounds the heights of the block's selections from above.  Slid down inside
-a selection's members until it meets a wall, E_T bounds that selection's
+one cover first (``_whole_cover``): the whole family's intersection, which
+lies inside every selection's.  An inscribed ellipsoid of it that clears
+the target settles the hypothesis check.  For a set T of classes, the cover
+K_T, the intersection of every member of T's classes (``_class_blocks``),
+lies inside every selection drawn from T's classes (T's block) and holds
+that ellipsoid, so a lowest ellipsoid E_T lifted in K_T from it bounds the
+heights of the block's selections from above.  Slid down inside a
+selection's members until it meets a wall, E_T bounds that selection's
 height lower still (``_height_bounds``), so a selection whose bound lies
 below a height already computed is pruned from the (2d-1)-selection sweep
 (``_highest_lowest``).  Only the selections left are swept, each with the
 bits of its lone solve, so both stages report what a sweep of every
-selection reports.
+selection reports.  When the whole family's cover does not settle, both
+stages are full sweeps.
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ from .geometry import (AGREEMENT_TOL, INTERIOR_TOL, AffineMap, Ellipsoid,
                        ellipsoid_gap, ellipsoid_in_polytope, ellipsoid_volume,
                        intersect_all, min_semiaxis, polytope_slacks,
                        transform_ellipsoid, transform_polytope)
-from .solvers import (DEFAULT_SETTINGS, SolverSettings, lift_to_target,
-                      mvie_batch, reaches_target, settle_threshold,
-                      single_outcome, slice_below, solved)
+from .solvers import (DEFAULT_SETTINGS, SolveOutcome, SolverSettings,
+                      lift_to_target, mvie_batch, reaches_target,
+                      settle_threshold, single_outcome, slice_below, solved)
 
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
@@ -204,18 +204,16 @@ def selection_intersection(classes: ColorClasses,
     return intersect_all([classes.body(ci, mi) for ci, mi in sel.picks])
 
 
-def _sweep(classes: ColorClasses, selections, settings: SolverSettings,
-           stop=None):
+def _sweep(classes: ColorClasses, selections, settings: SolverSettings):
     """The MVIE sweep of some colorful selections, the one sweep every
     pipeline stage runs.  Returns (selections, intersections, batch): the
     selections as a list, in the order given, their intersections, and the
-    (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings, with
-    the log-det threshold ``stop``, returns for the intersections.  The
-    outcomes belong to the first ``len(outcomes)`` selections; the error, if
-    any, to the next one."""
+    (outcomes, error) that one ``mvie_batch`` at ``_inner`` settings returns
+    for the intersections.  The outcomes belong to the first
+    ``len(outcomes)`` selections; the error, if any, to the next one."""
     sels = list(selections)
     polytopes = [selection_intersection(classes, sel) for sel in sels]
-    return sels, polytopes, mvie_batch(polytopes, _inner(settings), stop)
+    return sels, polytopes, mvie_batch(polytopes, _inner(settings))
 
 
 def _class_blocks(classes: ColorClasses, k: int) -> dict:
@@ -362,62 +360,21 @@ def _hypothesis_report(sweep, target_volume: float) -> HypothesisReport:
                             f"{type(error).__name__}: {error}")
 
 
-def _hypothesis_verdict(classes: ColorClasses, k: int, target_volume: float,
-                        settings: SolverSettings,
-                        whole: Optional[dict] = None) -> HypothesisReport:
-    """The passed, failure, failure_reason and selections_checked of
-    ``verify_colorful_hypothesis``, settled by covers where they can be.
-
-    An inscribed ellipsoid whose log det B reaches ``settle_threshold``
-    settles that every selection whose intersection holds it passes.  The
-    whole family's intersection lies in every selection's, so when its
-    cover settles (``whole``, the ``_whole_cover`` solved here when None),
-    the check passes.  Otherwise each k-block's cover (``_class_blocks``)
-    settles its block, and the selections of the other blocks are swept in
-    selection order, each stopped once it settles; the ones below that, and
-    every failure, are solved in full, so the first failure is the full
-    check's.  A cover's error only leaves its block, and the blocks after
-    it, to the sweep.  With no threshold, no cover is solved.  A stopped
-    volume is only a lower bound, so min_volume and min_selection are
-    None."""
-    inner = _inner(settings)
-    stop = settle_threshold(target_volume, classes.dim, inner)
-    sels = list(colorful_selections(classes, k))
-    swept = sels
-    if stop is not None:
-        if whole is None:
-            whole = _whole_cover(classes, target_volume, settings)
-        if whole:
-            return HypothesisReport(True, len(sels), None, None, None, None)
-        settled = _settled(_class_blocks(classes, k), inner, stop)
-        swept = [sel for sel in sels if sel.class_indices() not in settled]
-    rep = _hypothesis_report(_sweep(classes, swept, settings, stop),
-                             target_volume)
-    return dataclasses.replace(rep, selections_checked=len(sels),
-                               min_volume=None, min_selection=None)
-
-
-def _settled(blocks, settings: SolverSettings, stop: float) -> dict:
-    """The blocks (``_class_blocks``) whose cover holds an inscribed
-    ellipsoid with log det B >= stop, as a dict from each class set T to
-    that ellipsoid's outcome; the covers are one ``mvie_batch``, whose error
-    is dropped."""
-    outcomes, _ = mvie_batch(list(blocks.values()), settings, stop)
-    return {T: out for T, out in zip(blocks, outcomes)
-            if out.objective >= stop}
-
-
 def _whole_cover(classes: ColorClasses, target_volume: float,
-                 settings: SolverSettings) -> dict:
-    """``_settled`` over the one block of every class: the whole family's
-    cover, which lies inside every selection's intersection, mapped to its
-    settled inscribed ellipsoid, or {} when it does not settle or
-    ``settle_threshold`` is None."""
+                 settings: SolverSettings) -> Optional[SolveOutcome]:
+    """The outcome of an inscribed ellipsoid of the whole family's cover,
+    the one block of every class (``_class_blocks``), whose log det B
+    reaches ``settle_threshold``: its MVIE solve stops there.  The cover
+    lies inside every selection's intersection, so that ellipsoid settles
+    that every selection's MVIE reaches the target.  None when the cover
+    does not settle, its solve fails or the threshold is None."""
     inner = _inner(settings)
     stop = settle_threshold(target_volume, classes.dim, inner)
     if stop is None:
-        return {}
-    return _settled(_class_blocks(classes, classes.n_classes), inner, stop)
+        return None
+    cover, = _class_blocks(classes, classes.n_classes).values()
+    outcomes, _ = mvie_batch([cover], inner, stop)
+    return outcomes[0] if outcomes and outcomes[0].objective >= stop else None
 
 
 def _require_classes(classes: ColorClasses, n: int, what: str):
@@ -487,20 +444,18 @@ def _slide_directions(d: int) -> np.ndarray:
 
 
 def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
-                   settings: SolverSettings, whole: Optional[dict] = None):
+                   settings: SolverSettings, whole: SolveOutcome):
     """Upper bounds on the lowest heights of the colorful k-selections, as
     (a dict from each k-block's class set T to its bound, an array of each
     selection's bound in selection order).
 
     T's bound h_T is the height of a lowest ellipsoid E_T lifted in its
     cover K_T (``_class_blocks``), which lies inside every selection of
-    T's block.  When the whole family's cover settles (``whole``, the
-    ``_whole_cover`` solved here when None), its ellipsoid lies inside every
-    K_T and is every block's lift start, with no cover solved; otherwise the
-    blocks' covers are solved, and a block has a bound only when its cover
-    settles (``_settled`` at ``settle_threshold``).  Either way every
-    selection of a bounded block holds a settled ellipsoid, so it is lifted
-    and its computed height exceeds its lowest height by at most its gap.
+    T's block.  Every lift starts from the whole family's settled ellipsoid
+    ``whole`` (``_whole_cover``), which lies inside every K_T, so no cover
+    is solved.  Every selection holds that settled ellipsoid, so it is
+    lifted and its computed height exceeds its lowest height by at most its
+    gap.
 
     For a unit direction v with v_d < 0, E_T + s v stays inside a member P
     of T's classes up to the step s_P(v), the least slack(E_T) / (a . v)
@@ -509,20 +464,13 @@ def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
     of the target volume at height h_T + s_S(v) v_d.  S's bound is the
     least of these over ``_slide_directions``, each step taken a hair short
     so that every translated slack stays nonnegative; it is at most h_T.
-    Every block without a bound, and each of its selections, gets +inf."""
-    inner = _inner(settings)
+    A block whose lift fails, or comes after one that fails, and each of
+    its selections, gets +inf."""
     blocks = _class_blocks(classes, k)
-    low = {}
-    stop = settle_threshold(target_volume, classes.dim, inner)
-    if stop is not None:
-        if whole is None:
-            whole = _whole_cover(classes, target_volume, settings)
-        settled = (dict.fromkeys(blocks, *whole.values()) if whole
-                   else _settled(blocks, inner, stop))
-        lifts, _ = lift_to_target([blocks[T] for T in settled],
-                                  (list(settled.values()), None),
-                                  target_volume, inner)
-        low = dict(zip(settled, lifts))
+    lifts, _ = lift_to_target(list(blocks.values()),
+                              ([whole] * len(blocks), None), target_volume,
+                              _inner(settings))
+    low = dict(zip(blocks, lifts))
     dirs = _slide_directions(classes.dim)
     # per class: its members' rows stacked, their rates a . v, and where
     # each member's rows start
@@ -555,12 +503,12 @@ def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
 
 
 def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
-                    settings: SolverSettings, whole: Optional[dict] = None):
+                    settings: SolverSettings, whole: Optional[SolveOutcome]):
     """``_highest(_lowest(_sweep(...)))`` over the colorful k-selections,
     bitwise, solving only the selections whose bound can still decide it.
 
     Each selection's bound (``_height_bounds``, from the whole family's
-    cover ``whole`` where it settles) lies above its lowest height, and its
+    settled ellipsoid ``whole``) lies above its lowest height, and its
     computed height exceeds that by at most about one gap target.  The
     selections whose bound lies within two ``_PRUNE_GAPS`` height-gap
     targets of the highest bound are solved first; a selection whose bound
@@ -568,30 +516,33 @@ def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
     neither the highest selection nor one tied with it, so only the others
     are solved, in one more sweep.  Every outcome is bitwise its lone
     solve's, so the pair, and the first of exact ties in selection order,
-    are the full sweep's.  When a solved selection fails, the full sweep
-    runs and raises its first error."""
-    inner = _inner(settings)
+    are the full sweep's.  With no settled ellipsoid (``whole`` None), or
+    when a solved selection fails, the full sweep runs, and raises its
+    first error."""
     sels = list(colorful_selections(classes, k))
-    _, bound = _height_bounds(classes, k, target_volume, settings, whole)
-    margin = _PRUNE_GAPS * inner.gap_target
+    if whole is not None:
+        inner = _inner(settings)
+        _, bound = _height_bounds(classes, k, target_volume, settings, whole)
+        margin = _PRUNE_GAPS * inner.gap_target
 
-    def lowest(chosen):
-        swept, polytopes, batch = _sweep(
-            classes, itertools.compress(sels, chosen), settings)
-        outcomes, error = lift_to_target(polytopes, batch, target_volume,
-                                         inner)
-        return list(zip(swept, outcomes)), error
+        def lowest(chosen):
+            swept, polytopes, batch = _sweep(
+                classes, itertools.compress(sels, chosen), settings)
+            outcomes, error = lift_to_target(polytopes, batch, target_volume,
+                                             inner)
+            return list(zip(swept, outcomes)), error
 
-    first = bound >= bound.max() - 2.0 * margin
-    outs, error = lowest(first)
-    if error is None:
-        best = max(out.objective for _, out in outs)
-        more, error = lowest(~first & ~(bound + margin < best))
-        outs = dict(outs + more)
-    if error is not None:
-        return _highest(_lowest(_sweep(classes, sels, settings),
-                                target_volume, settings))
-    return _highest([(sel, outs[sel]) for sel in sels if sel in outs])
+        first = bound >= bound.max() - 2.0 * margin
+        outs, error = lowest(first)
+        if error is None:
+            best = max(out.objective for _, out in outs)
+            more, error = lowest(~first & ~(bound + margin < best))
+            if error is None:
+                outs = dict(outs + more)
+                return _highest([(sel, outs[sel]) for sel in sels
+                                 if sel in outs])
+    return _highest(_lowest(_sweep(classes, sels, settings), target_volume,
+                            settings))
 
 
 def _check_witness_containment(E: Ellipsoid, members, tol: float = 1e-6):
@@ -673,23 +624,23 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     """Few-color-classes pipeline: 3d classes, colorful selections of 2d sets.
 
     Solves the whole family's cover once (``_whole_cover``), also when the
-    hypothesis check is skipped.  Checks the 2d-selection hypothesis for its
-    verdict alone, settled by that cover, or by class-block covers, where
-    they clear the target (``_hypothesis_verdict``), constructs the highest
-    lowest-ellipsoid over (2d-1)-selections, pruning the selections whose
-    height bound, slid down from their block's lowest ellipsoid, lies below
-    one already computed (``_highest_lowest``), normalizes it to the unit
-    ball, cuts with the height-1 half-space, extracts a common
-    inscribed-ball radius over the remaining d+1 families, and finds the
-    witness class by the translate search.
+    hypothesis check is skipped.  The 2d-selection hypothesis check passes
+    when that cover settles, and is otherwise ``verify_colorful_hypothesis``.
+    Then constructs the highest lowest-ellipsoid over (2d-1)-selections,
+    pruning, where the cover settled, the selections whose height bound,
+    slid down from their block's lowest ellipsoid, lies below one already
+    computed (``_highest_lowest``), normalizes it to the unit ball, cuts
+    with the height-1 half-space, extracts a common inscribed-ball radius
+    over the remaining d+1 families, and finds the witness class by the
+    translate search.
     """
     t_start = time.perf_counter()
     d = classes.dim
     _require_classes(classes, 3 * d, "pipeline")
     whole = _whole_cover(classes, target_volume, settings)
-    if check_hypothesis:
-        _require_hypothesis(_hypothesis_verdict(
-            classes, 2 * d, target_volume, settings, whole), "colorful")
+    if check_hypothesis and whole is None:
+        _require_hypothesis(verify_colorful_hypothesis(
+            classes, 2 * d, target_volume, settings), "colorful")
 
     # (1) highest of the lowest ellipsoids over (2d-1)-selections
     sel_star, best = _highest_lowest(classes, 2 * d - 1, target_volume,

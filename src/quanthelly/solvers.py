@@ -12,8 +12,8 @@ A problem that fails keeps its stack row and only leaves the working rows,
 and an eval cache holds every row.  The engine's retirement hook is an
 optional log-det threshold ``stop``: a problem whose log det B reaches it
 retires with that strictly feasible iterate as its outcome, whose volume
-bounds the optimum's from below; theorem1 stops its hypothesis selections
-and its class-block covers there once the volume settles that the MVIE
+bounds the optimum's from below; theorem1 stops the MVIE of its whole
+family's cover there once the volume settles that every selection's MVIE
 reaches the target (``settle_threshold``).  ``mvie_batch`` takes a sequence
 of polytopes and ``lift_to_target`` lifts its outcomes to lowest ellipsoids.
 ``mvie`` is a stack of one behind a boundedness check read from the

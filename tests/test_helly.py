@@ -235,88 +235,79 @@ def _generated(*spec):
     return inst.classes, inst.target_volume
 
 
-# name -> (classes, target, k, whether every selection retires early or
-# none does; None where some do)
+# name -> (classes, target, k, whether the whole family's cover settles)
 VERDICT_CORPUS = {
-    "common-ball-1": lambda: (*_generated("common-ball", 1, 2, 6, 3), 4, None),
-    "common-ball-2": lambda: (*_generated("common-ball", 2, 2, 6, 3), 4, None),
-    "common-ball-3": lambda: (*_generated("common-ball", 3, 2, 6, 2), 4, None),
+    "common-ball-1": lambda: (*_generated("common-ball", 1, 2, 6, 3), 4, True),
+    "common-ball-2": lambda: (*_generated("common-ball", 2, 2, 6, 3), 4, True),
+    "common-ball-3": lambda: (*_generated("common-ball", 3, 2, 6, 2), 4, True),
     "tie": lambda: (*_generated("common-ball", 1365155147, 2, 6, 3), 4,
-                    None),
-    "far-member-2": lambda: (far_member_classes(), math.pi, 2, None),
-    # the whole family's cover fails, the 4-blocks without class 5 settle,
-    # and the selections of the others are swept and pass
-    "block-covers": lambda: (split_member_classes(), 8.0, 4, None),
-    "far-member-3": lambda: (far_member_classes(), math.pi, 3, None),
+                    True),
+    "far-member-2": lambda: (far_member_classes(), math.pi, 2, False),
+    # split_member_classes: every selection passes, the whole family's
+    # cover does not settle
+    "block-covers": lambda: (split_member_classes(), 8.0, 4, False),
+    "far-member-3": lambda: (far_member_classes(), math.pi, 3, False),
     "adversarial": lambda: (*_generated("adversarial", 2, 2, 5, 2), 4, False),
-    # below the threshold target (1 - 1e-6)(1 + 2e-6): solved in full, and
-    # passes as within the slack of 1e-6
+    # below the threshold target (1 - 1e-6)(1 + 2e-6): the cover does not
+    # settle, and the full check passes as within the slack of 1e-6
     "near-target": lambda: (box_copies(1.0 - 5e-7), 1.0, 4, False),
     "above-target": lambda: (box_copies(1.0 + 1e-5), 1.0, 4, True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERDICT_CORPUS))
-def test_theorem1_check_gives_the_full_checks_verdict(monkeypatch, name):
-    cc, target, k, retires = VERDICT_CORPUS[name]()
-    full = verify_colorful_hypothesis(cc, k, target)
-    kkts = []
-    batch = helly.mvie_batch
-
-    def recording(polytopes, settings, stop=None):
-        out = batch(polytopes, settings, stop)
-        kkts.extend(o.kkt_residual for o in out[0])
-        return out
-
-    monkeypatch.setattr(helly, "mvie_batch", recording)
-    rep = helly._hypothesis_verdict(cc, k, target, SolverSettings())
-    assert (rep.passed, rep.failure, rep.failure_reason) == (
-        full.passed, full.failure, full.failure_reason)
-    assert rep.selections_checked == full.selections_checked
-    assert rep.min_volume is None and rep.min_selection is None
-    early = [r == math.inf for r in kkts]
-    assert any(early) if retires is None else early == [retires] * len(kkts)
+def test_theorem1_check_gives_the_full_checks_verdict(name):
+    # theorem1's check passes when the whole family's cover settles and is
+    # the full check otherwise, so it gives the full check's verdict as
+    # long as a settled cover is sound: its ellipsoid lies in every member,
+    # clears the target, and the full check passes.
+    cc, target, k, settles = VERDICT_CORPUS[name]()
+    settings = SolverSettings()
+    whole = helly._whole_cover(cc, target, settings)
+    assert (whole is not None) == settles
+    if whole is not None:
+        assert whole.objective >= solvers.settle_threshold(
+            target, cc.dim, helly._inner(settings))
+        assert all(ellipsoid_in_polytope(whole.ellipsoid, body, tol=0.0)
+                   for members in cc.classes for body in members)
+        assert verify_colorful_hypothesis(cc, k, target).passed
 
 
-def test_block_covers_settle_where_the_whole_familys_does_not(start_lps):
-    # Only the 4-blocks without class 5 settle; the ten others are swept,
-    # two selections each, after the whole family's cover and the 15 block
-    # covers.
-    cc = split_member_classes()
-    inner = helly._inner(SolverSettings())
-    stop = solvers.settle_threshold(8.0, 2, inner)
-    assert not helly._settled(helly._class_blocks(cc, 6), inner, stop)
-    assert set(helly._settled(helly._class_blocks(cc, 4), inner, stop)) == {
-        (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)}
+def test_theorem1_check_sweeps_every_selection_without_a_whole_cover(
+        monkeypatch, start_lps):
+    # The whole family's cover holds only a 2x4 box, below the target, so
+    # theorem1's check solves the cover and then every 4-selection in full.
+    class Checked(Exception):
+        pass
+
+    def after_the_check(*_):
+        raise Checked
+
+    monkeypatch.setattr(helly, "_highest_lowest", after_the_check)
     start_lps.clear()
-    rep = helly._hypothesis_verdict(cc, 4, 8.0, SolverSettings())
-    assert rep.passed and rep.selections_checked == 25
-    assert len(start_lps) == 1 + 15 + 20
+    with pytest.raises(Checked):
+        theorem1_pipeline(split_member_classes(), 8.0)
+    assert len(start_lps) == 1 + 25
 
 
-def test_theorem1_check_settles_selections_whose_full_solve_runs_out():
-    # Each selection's MVIE takes more than 30 Newton steps, but its iterate
-    # clears the target before that, so theorem1's check passes where the
-    # full check raises MaxIterations.
-    cc = uniform_classes(HPolytope.box([1.0, 1.0]), 6)
-    settings = SolverSettings(max_iterations=30)
+@pytest.mark.parametrize("name", ["squares", "long-or-square"])
+def test_whole_cover_settles_what_the_full_check_cannot(name):
+    # squares: each selection's MVIE takes more than 30 Newton steps, but
+    # the whole family's cover, the one square, clears the target before
+    # that.  long-or-square: a selection of the four 2000x2 boxes takes more
+    # than 13 Newton steps, while the whole family's cover, the 2x2 square,
+    # settles within them.  Either way theorem1's check passes where the
+    # full check raises.
+    if name == "squares":
+        cc = uniform_classes(HPolytope.box([1.0, 1.0]), 6)
+        target, settings = 0.95 * math.pi, SolverSettings(max_iterations=30)
+    else:
+        long_or_square = [([1000.0, 1.0], None), ([1.0, 1.0], None)]
+        cc = classes_of_boxes(*[long_or_square] * 6)
+        target, settings = 2.8, SolverSettings(max_iterations=13)
     with pytest.raises(MaxIterations):
-        verify_colorful_hypothesis(cc, 4, 0.95 * math.pi, settings)
-    assert helly._hypothesis_verdict(cc, 4, 0.95 * math.pi, settings).passed
-
-
-def test_theorem1_check_settles_by_a_cover_what_its_sweep_cannot():
-    # A selection of the four 2000x2 boxes takes more than 13 Newton steps
-    # to settle, and raises; the whole family's cover, the 2x2 square,
-    # settles within them, so theorem1's check passes.
-    long_or_square = [([1000.0, 1.0], None), ([1.0, 1.0], None)]
-    cc = classes_of_boxes(*[long_or_square] * 6)
-    settings = SolverSettings(max_iterations=13)
-    stop = solvers.settle_threshold(2.8, 2, helly._inner(settings))
-    with pytest.raises(MaxIterations):
-        helly._hypothesis_report(helly._sweep(
-            cc, colorful_selections(cc, 4), settings, stop), 2.8)
-    assert helly._hypothesis_verdict(cc, 4, 2.8, settings).passed
+        verify_colorful_hypothesis(cc, 4, target, settings)
+    assert helly._whole_cover(cc, target, settings) is not None
 
 
 def test_hypothesis_k1_singletons_reduces_to_per_body_mvie():
@@ -493,7 +484,7 @@ HIGHEST_CORPUS = {
     "common-ball-2": lambda: _generated("common-ball", 2, 2, 6, 3),
     "common-ball-3": lambda: _generated("common-ball", 3, 2, 6, 3),
     "tie": lambda: _generated("common-ball", 1365155147, 2, 6, 3),
-    # no cover is lifted, so no block has a bound and none is pruned
+    # the whole family's cover does not settle, so no selection is pruned
     "near-target": lambda: (box_copies(1.0 - 5e-7), 1.0),
     "d3": lambda: _generated("common-ball", 3, 3, 9, 2),
     # the top block's lowest ellipsoid slides down inside every selection
@@ -521,13 +512,14 @@ def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
     solved = []
     sweep = helly._sweep
 
-    def recording(classes, selections, settings, stop=None):
-        out = sweep(classes, selections, settings, stop)
+    def recording(classes, selections, settings):
+        out = sweep(classes, selections, settings)
         solved.extend(out[0])
         return out
 
+    whole = helly._whole_cover(cc, target, settings)
     monkeypatch.setattr(helly, "_sweep", recording)
-    sel, got = helly._highest_lowest(cc, k, target, settings)
+    sel, got = helly._highest_lowest(cc, k, target, settings, whole)
     assert sel == want_sel
     for a, b in ((got.ellipsoid.shape, want.ellipsoid.shape),
                  (got.ellipsoid.center, want.ellipsoid.center)):
@@ -544,14 +536,14 @@ def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
     elif name == "slide":
         # a first round of the selections whose bound lies near the top
         # block's bound would be empty
-        blocks, bound = helly._height_bounds(cc, k, target, settings)
+        blocks, bound = helly._height_bounds(cc, k, target, settings, whole)
         margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
         assert bound.max() < max(blocks.values()) - 2.0 * margin
     elif name.startswith("common-ball"):
         # the selection bounds prune at least what their blocks' bounds
         # would; on seed 3 only the top block is left, and each of its six
         # selections has a bound within 4e-5 of the best height
-        blocks, _ = helly._height_bounds(cc, k, target, settings)
+        blocks, _ = helly._height_bounds(cc, k, target, settings, whole)
         margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
         unpruned = [s for s, _ in outs
                     if blocks[s.class_indices()] + margin >= want.objective]
@@ -565,7 +557,8 @@ def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
 def test_selection_bounds_hold_the_full_stages_heights(name):
     cc, target, k, outs = _full_stage(name)
     settings = SolverSettings()
-    blocks, bound = helly._height_bounds(cc, k, target, settings)
+    whole = helly._whole_cover(cc, target, settings)
+    blocks, bound = helly._height_bounds(cc, k, target, settings, whole)
     margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
     assert len(bound) == len(outs)
     assert np.isfinite(list(blocks.values())).all()
@@ -580,7 +573,7 @@ def test_a_settled_whole_cover_is_reused_without_cover_solves(monkeypatch):
     cc, target = HIGHEST_CORPUS["common-ball-1"]()
     settings = SolverSettings()
     whole = helly._whole_cover(cc, target, settings)
-    assert whole
+    assert whole is not None
     lps, mvies, swept = [], [], []
     lp, batch, sweep = geometry._lp, helly.mvie_batch, helly._sweep
 
@@ -603,8 +596,8 @@ def test_a_settled_whole_cover_is_reused_without_cover_solves(monkeypatch):
     sel, out = helly._highest_lowest(cc, 3, target, settings, whole)
     assert 0 < len(swept) == len(mvies) == len(lps)
     monkeypatch.undo()
-    # the blocks' own covers give the same pair
-    sel_b, out_b = helly._highest_lowest(cc, 3, target, settings, {})
+    # the full sweep gives the same pair
+    sel_b, out_b = helly._highest_lowest(cc, 3, target, settings, None)
     assert sel == sel_b
     assert out.ellipsoid.center.tobytes() == out_b.ellipsoid.center.tobytes()
     checked, unchecked = (
@@ -627,8 +620,9 @@ def test_pruned_stage_skips_a_block_whose_lifts_run_out():
     with pytest.raises(MaxIterations):
         helly._lowest(helly._sweep(cc, colorful_selections(cc, 3), settings),
                       1.0, settings)
-    sel, _ = helly._highest_lowest(cc, 3, 1.0, settings)
-    assert sel == helly._highest_lowest(cc, 3, 1.0, SolverSettings())[0]
+    whole = helly._whole_cover(cc, 1.0, settings)
+    sel, _ = helly._highest_lowest(cc, 3, 1.0, settings, whole)
+    assert sel == helly._highest_lowest(cc, 3, 1.0, SolverSettings(), None)[0]
 
 
 def test_theorem1_identical_squares():
@@ -664,12 +658,17 @@ def test_theorem1_random_instance_with_rotated_e_star():
 
 
 def test_theorem1_detects_hypothesis_violation():
-    bad = classes_of_boxes(
+    # theorem1 names the full check's first failing selection
+    square = classes_of_boxes(
         [([2.0, 2.0], None)], [([2.0, 2.0], None)], [([2.0, 2.0], None)],
         [([2.0, 2.0], None)], [([2.0, 2.0], None)],
         [([0.3, 0.3], [1.7, 1.7])])
-    with pytest.raises(HypothesisViolated):
-        theorem1_pipeline(bad, math.pi)
+    for cc, target in ((square, math.pi),
+                       _generated("adversarial", 1, 2, 6, 2)):
+        with pytest.raises(HypothesisViolated) as exc:
+            theorem1_pipeline(cc, target)
+        want = verify_colorful_hypothesis(cc, 4, target).failure
+        assert want is not None and exc.value.failure == want
 
 
 def test_theorem1_needs_3d_classes():
