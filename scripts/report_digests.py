@@ -4,11 +4,27 @@
     python3 scripts/report_digests.py > digests.txt
     python3 scripts/report_digests.py --src /path/to/other/checkout/src > other.txt
     python3 scripts/report_digests.py --against /path/to/other/checkout/src
+    python3 scripts/report_digests.py --numeric /path/to/other/checkout/src
 
 ``--against SRC`` runs the script twice, in two subprocesses, on ``--src``
 (this checkout's ``src/`` by default) and on SRC; it prints
 ``identical (N lines)``, or a unified diff of the lines that differ and
 exits 1.
+
+``--numeric SRC`` runs every invocation below on both trees in the same
+way, each printing one JSON record per invocation (``--records``: its
+exit code, report without ``wall_time`` and standard output), and compares
+the records field by field, SRC's as the reference
+(``numeric_differences``).  Exit codes and every value that is not a float
+must be equal: witness classes, defining selections, remaining classes,
+selections, failure reasons.  The gap fields ``cut_mvie_gap``,
+``drop_one_gaps`` and ``volume_gap`` must fall on the same side of their
+bound (GAP_BOUNDS).  Every other float must agree within NUMERIC_RTOL
+relative to max(1, |x|), and standard output is compared number by number
+by the same rules.  A ``run ell`` report is compared by validity: at most
+d(d+3)/2 distinct selected members, both residuals at most 1e-6 and its
+volume gap within its bound.  It prints the worst difference per field and
+each breach, and exits 1 on any breach.
 
 Runs ``mvie``, ``lowest``, ``verify-hypothesis`` (at the instance's class
 count and at k=2) and ``run colell/theorem1/saxuso/ell`` in-process on six
@@ -21,9 +37,9 @@ input sets, written here from fixed seeds or fixed data:
   (``perfbench/workloads.py``).  At d=3, ``run saxuso`` is left out: its
   6-selection hypothesis sweep holds 377-1002 selections per instance and
   would take most of the run time.  ``run theorem1`` runs there too: the
-  whole family's cover settles its 6-selection check and bounds the heights
-  that prune its 5-selection sweep, so it solves only a fraction of those
-  selections;
+  whole family's cover settles its 6-selection check, and its ellipsoid
+  starts the lifts that bound, prune and pick among the 5-selections, so
+  that it solves an MVIE for none of them but near ties;
 * one instance of five copies of a box whose MVIE volume lies 5e-7 below
   the target, within the relative slack of 1e-6 by which a volume reaches
   its target (``near-target``), so that the hypothesis check and the
@@ -41,10 +57,13 @@ input sets, written here from fixed seeds or fixed data:
 * two instances run with ``run theorem1`` alone: ``theorem1-slide``, on
   which the top block's lowest ellipsoid slides down inside every selection
   of its block, so that no (2d-1)-selection's height bound lies near that
-  block's bound; and ``theorem1-split``, five 4x4 squares and a class of
-  two 4x4 squares shifted apart at target 8, on which every selection holds
-  a 3x4 box but the whole family's cover only a 2x4 box, so that theorem1
-  passes its hypothesis check by the full check.
+  block's bound, and on which several selections' lowest ellipsoids rest
+  on the same two members, so that their heights agree to 1e-12 and a
+  change in their last bits shows; and ``theorem1-split``, five 4x4
+  squares and a class of two 4x4 squares shifted apart at target 8, on
+  which every selection holds a 3x4 box but the whole family's cover only
+  a 2x4 box, so that theorem1 passes its hypothesis check by the full
+  check.
 
 Each input first prints one line with the sha256 of its emitted instance
 text and of that text parsed and emitted again.  Each invocation then prints
@@ -86,6 +105,8 @@ import difflib
 import hashlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -125,6 +146,20 @@ NEAR_TARGET = {"dimension": 2, "target_volume": 1.0, "classes": [[[
     {"a": [1.0, 0.0], "b": _W}, {"a": [-1.0, 0.0], "b": _W},
     {"a": [0.0, 1.0], "b": _W}, {"a": [0.0, -1.0], "b": _W}]]] * 5}
 NEAR_TARGET_6 = dict(NEAR_TARGET, classes=NEAR_TARGET["classes"][:1] * 6)
+# --numeric: floats agree within this, relative to max(1, |x|).  Pipeline
+# lifts stop at a duality-gap target of 1e-7, so lifts from two starts end
+# at different iterates: at d=3, theorem1's normalization B^-1 moved by up
+# to 2.7e-9 between a lift from the selection's MVIE and one from the whole
+# family's settled ellipsoid.
+NUMERIC_RTOL = 1e-8
+# --numeric: each gap field and the bound its report must meet:
+# geometry.AGREEMENT_TOL for the pipelines' agreement gaps, and the relative
+# volume gap of john.critical_subfamily
+GAP_BOUNDS = {"cut_mvie_gap": 1e-5, "drop_one_gaps": 1e-5, "volume_gap": 1e-5}
+# --numeric: the bound on both residuals of a ``run ell`` report
+ELL_RESIDUAL = 1e-6
+# a decimal number in standard output
+_NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _square(x):
@@ -157,7 +192,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _invoke(main, argv, report: Path) -> str:
+def _invoke(main, argv, report: Path):
+    """(exit code, report document without ``wall_time`` or None, standard
+    output) of one CLI invocation."""
     if report.exists():
         report.unlink()
     out = io.StringIO()
@@ -167,11 +204,16 @@ def _invoke(main, argv, report: Path) -> str:
             code = str(main(argv + ["--out", str(report)]))
         except Exception as exc:  # an uncaught error is a result too
             code = f"raised:{type(exc).__name__}"
-    digest = "-"
+    doc = None
     if report.exists():
         doc = _without_wall_time(json.loads(report.read_text()))
-        digest = _sha(json.dumps(doc, sort_keys=True).encode())
-    return f"exit={code} report={digest} stdout={_sha(out.getvalue().encode())}"
+    return code, doc, out.getvalue()
+
+
+def _digest_line(code, doc, stdout) -> str:
+    digest = "-" if doc is None else \
+        _sha(json.dumps(doc, sort_keys=True).encode())
+    return f"exit={code} report={digest} stdout={_sha(stdout.encode())}"
 
 
 def _commands(d: int, adversarial: bool):
@@ -328,16 +370,26 @@ def _solver_bits():
               f"{_work_line(work)}", flush=True)
 
 
-def _compare(src: str, other: str) -> int:
-    """Runs the script on src and on other side by side and prints whether
-    their outputs are identical; 1 when they differ or a run fails."""
-    runs = [subprocess.Popen([sys.executable, __file__, "--src", path],
+def _run_both(src: str, other: str, *flags):
+    """This script's standard output lines on src and on other, run side by
+    side with the flags; None, after printing which failed, when a run
+    fails."""
+    runs = [subprocess.Popen([sys.executable, __file__, "--src", path, *flags],
                              stdout=subprocess.PIPE, text=True)
             for path in (src, other)]
     outputs = [run.communicate()[0].splitlines() for run in runs]
     failed = [path for path, run in zip((src, other), runs) if run.returncode]
     if failed:
         print(f"failed on {', '.join(failed)}")
+        return None
+    return outputs
+
+
+def _compare(src: str, other: str) -> int:
+    """Runs the script on src and on other side by side and prints whether
+    their outputs are identical; 1 when they differ or a run fails."""
+    outputs = _run_both(src, other)
+    if outputs is None:
         return 1
     ours, theirs = outputs
     if ours == theirs:
@@ -348,6 +400,121 @@ def _compare(src: str, other: str) -> int:
     return 1
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _walk(field: str, ours, theirs, out: list):
+    """Appends a (field, difference, breach) entry for each leaf of two
+    JSON values (``numeric_differences``).  A field is its path of keys,
+    list positions left out."""
+    if isinstance(ours, dict) and isinstance(theirs, dict) \
+            and ours.keys() == theirs.keys():
+        for key in sorted(theirs):
+            _walk(f"{field}.{key}" if field else key, ours[key], theirs[key],
+                  out)
+    elif isinstance(ours, list) and isinstance(theirs, list) \
+            and len(ours) == len(theirs):
+        for a, b in zip(ours, theirs):
+            _walk(field, a, b, out)
+    elif _is_number(ours) and _is_number(theirs) \
+            and float in (type(ours), type(theirs)):
+        a, b = float(ours), float(theirs)
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            diff = 0.0
+        elif math.isfinite(a) and math.isfinite(b):
+            diff = abs(a - b) / max(1.0, abs(b))
+        else:
+            diff = math.inf
+        bound = GAP_BOUNDS.get(field.rsplit(".", 1)[-1])
+        out.append((field, diff, diff > NUMERIC_RTOL if bound is None
+                     else (a <= bound) != (b <= bound)))
+    else:
+        same = type(ours) is type(theirs) and ours == theirs
+        out.append((field, 0.0 if same else math.inf, not same))
+
+
+def _number(token: str):
+    return int(token) if re.fullmatch(r"[-+]?\d+", token) else float(token)
+
+
+def _ell_validity(body: dict, d: int, out: list):
+    """Appends (field, value, breach) entries for one ``run ell`` report
+    body: at most d(d+3)/2 distinct selected members, both residuals at
+    most ELL_RESIDUAL and the volume gap within its bound."""
+    members = len(set(body["selected_members"]))
+    out.append(("report.report.selected_members (distinct)", members,
+                members > d * (d + 3) // 2))
+    for key, bound in (("residual_balance", ELL_RESIDUAL),
+                       ("residual_identity", ELL_RESIDUAL),
+                       ("volume_gap", GAP_BOUNDS["volume_gap"])):
+        out.append((f"report.report.{key} (value)", body[key],
+                    not body[key] <= bound))
+
+
+def numeric_differences(ours: dict, theirs: dict) -> list:
+    """(field, difference, breach) entries comparing the records of one
+    invocation (``--records``) on two trees, ``theirs`` the reference.
+
+    Exit codes, and every value that is not a float (witness classes,
+    selections, class lists, failure reasons, any other string), must be
+    equal.  A gap field (GAP_BOUNDS) breaches when one side lies within its
+    bound and the other does not.  Every other float breaches when it
+    differs by more than NUMERIC_RTOL relative to max(1, |x|), x the
+    reference's value.  Standard output is split into numbers and the text
+    between them, and compared by the same rules.  A ``run ell`` report
+    body is compared by validity alone (``_ell_validity``; each entry's
+    value is the checked value, not a difference), and so is its standard
+    output, which repeats it."""
+    out = []
+    ell = theirs["command"] == ["run", "ell"] and None not in (
+        ours["report"], theirs["report"])
+    # an ell report's envelope without its body
+    docs = [{"exit": r["exit"], "report": r["report"] if not ell else {
+        k: v for k, v in r["report"].items() if k != "report"}}
+        for r in (ours, theirs)]
+    _walk("", *docs, out)
+    if ell:
+        for r in (ours, theirs):
+            _ell_validity(r["report"]["report"], theirs["dim"], out)
+        return out
+    a, b = (_NUMBER.split(r["stdout"]) for r in (ours, theirs))
+    if len(a) != len(b):
+        out.append(("stdout", math.inf, True))
+        return out
+    for i, (x, y) in enumerate(zip(a, b)):
+        _walk("stdout", *((_number(x), _number(y)) if i % 2 else (x, y)), out)
+    return out
+
+
+def _numeric(src: str, other: str) -> int:
+    """Runs every invocation on src and on other side by side, compares
+    their records field by field (``numeric_differences``, other the
+    reference) and prints the worst difference per field and every breach;
+    1 when anything breaches or a run fails."""
+    outputs = _run_both(src, other, "--records")
+    if outputs is None:
+        return 1
+    ours, theirs = ([json.loads(line) for line in lines] for lines in outputs)
+    if [r["label"] for r in ours] != [r["label"] for r in theirs]:
+        print("the two trees ran different invocations")
+        return 1
+    worst, breaches = {}, []
+    for a, b in zip(ours, theirs):
+        for field, diff, breach in numeric_differences(a, b):
+            if field not in worst or diff > worst[field][0]:
+                worst[field] = (diff, a["label"])
+            if breach:
+                breaches.append(f"breach {a['label']}: {field} {diff:.3g}")
+    print(f"numeric: {len(ours)} invocations, relative tolerance "
+          f"{NUMERIC_RTOL:g}, gap bounds {GAP_BOUNDS}")
+    for field in sorted(worst):
+        diff, label = worst[field]
+        print(f"{field}: worst {diff:.3g}" + (f" ({label})" if diff else ""))
+    print(*breaches, f"{len(breaches)} breaches", sep="\n")
+    return 1 if breaches else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"),
@@ -356,9 +523,18 @@ def main(argv=None) -> int:
     p.add_argument("--against", metavar="SRC",
                    help="compare this script's output on --src with its "
                         "output on SRC, another checkout's src/ directory")
+    p.add_argument("--numeric", metavar="SRC",
+                   help="compare the reports of every invocation on --src "
+                        "with those on SRC field by field, within tolerances")
+    p.add_argument("--records", action="store_true",
+                   help="print one JSON record per invocation (its label, "
+                        "command, dimension, exit code, report and standard "
+                        "output) instead of the digests")
     args = p.parse_args(argv)
     if args.against is not None:
         return _compare(args.src, args.against)
+    if args.numeric is not None:
+        return _numeric(args.src, args.numeric)
     sys.path.insert(0, args.src)
     from quanthelly.cli import main as cli_main
     from quanthelly.instances import (GeneratorSpec, emit_instance, generate,
@@ -388,20 +564,30 @@ def main(argv=None) -> int:
                 inst = generate(spec)
             text = emit_instance(inst, path)
             again = emit_instance(parse_instance(path))
-            print(f"{label} instance: emit={_sha(text.encode())} "
-                  f"roundtrip={_sha(again.encode())}", flush=True)
+            if not args.records:
+                print(f"{label} instance: emit={_sha(text.encode())} "
+                      f"roundtrip={_sha(again.encode())}", flush=True)
             for cmd in only.get(label) or _commands(inst.dimension,
                                                     adversarial):
                 argv = cmd[:2] + [str(path)] + cmd[2:] if cmd[0] == "run" \
                     else cmd[:1] + [str(path)] + cmd[1:]
                 with _counted_work() as work:
-                    line = _invoke(cli_main, argv, tmp / "report.json")
-                print(f"{label} {' '.join(cmd)}: {line}", flush=True)
+                    code, doc, stdout = _invoke(cli_main, argv,
+                                                tmp / "report.json")
+                name = f"{label} {' '.join(cmd)}"
+                if args.records:
+                    print(json.dumps({"label": name, "command": cmd[:2],
+                                      "dim": inst.dimension, "exit": code,
+                                      "report": doc, "stdout": stdout}),
+                          flush=True)
+                    continue
+                print(f"{name}: {_digest_line(code, doc, stdout)}",
+                      flush=True)
                 if any(label.startswith(prefix) and cmd == counted
                        for prefix, counted in WORK):
-                    print(f"{label} {' '.join(cmd)} work: {_work_line(work)}",
-                          flush=True)
-    _solver_bits()
+                    print(f"{name} work: {_work_line(work)}", flush=True)
+    if not args.records:
+        _solver_bits()
     return 0
 
 

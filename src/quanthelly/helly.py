@@ -26,10 +26,14 @@ heights of the block's selections from above.  Slid down inside a
 selection's members until it meets a wall, E_T bounds that selection's
 height lower still (``_height_bounds``), so a selection whose bound lies
 below a height already computed is pruned from the (2d-1)-selection sweep
-(``_highest_lowest``).  Only the selections left are swept, each with the
-bits of its lone solve, so both stages report what a sweep of every
-selection reports.  When the whole family's cover does not settle, both
-stages are full sweeps.
+(``_highest_lowest``).  The selections left are lifted from the settled
+ellipsoid too, with no start LP and no MVIE.  Their heights prune again, so
+the stage picks the selection a sweep of every selection picks; where
+several near-tied selections remain, they are swept from their MVIEs, each
+with the bits of its lone solve, to pick among them as that sweep does.
+Its lowest ellipsoid agrees with that sweep's to the lift's gap target, and
+bit for bit after a near-tie sweep.  When the whole family's cover does not
+settle, both stages are full sweeps.
 """
 from __future__ import annotations
 
@@ -56,11 +60,12 @@ from .solvers import (DEFAULT_SETTINGS, SolveOutcome, SolverSettings,
 # Safety shrink applied to the computed common radius before the translate
 # search, absorbing solver noise in the feasibility LPs.
 _RADIUS_SHRINK = 1e-6
-# A (2d-1)-selection of theorem1 is pruned when its height bound
-# plus this many height-gap targets lies below a computed height.  A lift
-# ends centered at a height gap of (m+1)/t of at most its gap target, and its
-# final iterate is feasible, so a selection's computed height exceeds its
-# lowest height, at most its bound, by at most about one gap target;
+# A (2d-1)-selection of theorem1 is pruned when its height bound, or its
+# height lifted from the whole family's settled ellipsoid, plus this many
+# height-gap targets lies below a computed height.  A lift ends centered at
+# a height gap of (m+1)/t of at most its gap target, and its final iterate
+# is feasible, so a selection's computed height exceeds its lowest height,
+# at most its bound, by at most about one gap target from any start;
 # twenty leave room for the last Newton decrement and for rounding.  The
 # margin is absolute, like the other height tolerances.
 _PRUNE_GAPS = 20.0
@@ -504,43 +509,63 @@ def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
 
 def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
                     settings: SolverSettings, whole: Optional[SolveOutcome]):
-    """``_highest(_lowest(_sweep(...)))`` over the colorful k-selections,
-    bitwise, solving only the selections whose bound can still decide it.
+    """The selection of ``_highest(_lowest(_sweep(...)))`` over the colorful
+    k-selections, with its lowest ellipsoid, solving from an MVIE only the
+    selections whose height can still decide it.
 
     Each selection's bound (``_height_bounds``, from the whole family's
-    settled ellipsoid ``whole``) lies above its lowest height, and its
-    computed height exceeds that by at most about one gap target.  The
+    settled ellipsoid ``whole``) lies above its lowest height.  A lift ends
+    feasible and centered, so its computed height exceeds that lowest
+    height by at most about one gap target, whatever its start.  The
     selections whose bound lies within two ``_PRUNE_GAPS`` height-gap
-    targets of the highest bound are solved first; a selection whose bound
-    plus ``_PRUNE_GAPS`` gap targets lies below their best height can be
-    neither the highest selection nor one tied with it, so only the others
-    are solved, in one more sweep.  Every outcome is bitwise its lone
-    solve's, so the pair, and the first of exact ties in selection order,
-    are the full sweep's.  With no settled ellipsoid (``whole`` None), or
-    when a solved selection fails, the full sweep runs, and raises its
-    first error."""
+    targets of the highest bound are lifted first, from ``whole``, which
+    lies inside every selection, so with no start LP and no MVIE.  A
+    selection whose bound plus ``_PRUNE_GAPS`` gap targets lies below their
+    best height can be neither the highest selection nor one tied with it,
+    so only the others are lifted, in one more round.  By the same margin,
+    only the lifted selections whose height lies within ``_PRUNE_GAPS`` gap
+    targets of the best can be the full sweep's pick.  When that is one
+    selection, it is the pick, returned with its lift from ``whole``, which
+    agrees with its lift from its MVIE to the lift's gap target.  When it
+    is several, near ties whose last bits order them differently from one
+    start to another, they are swept from their MVIEs as the full sweep
+    solves them, each with the bits of its lone solve, so the pair, and the
+    first of exact ties in selection order, are the full sweep's.  With no
+    settled ellipsoid (``whole`` None), or when a lift or that sweep fails,
+    the full sweep runs, and raises its first error."""
     sels = list(colorful_selections(classes, k))
     if whole is not None:
         inner = _inner(settings)
         _, bound = _height_bounds(classes, k, target_volume, settings, whole)
         margin = _PRUNE_GAPS * inner.gap_target
+        lifted = {}
 
-        def lowest(chosen):
-            swept, polytopes, batch = _sweep(
-                classes, itertools.compress(sels, chosen), settings)
-            outcomes, error = lift_to_target(polytopes, batch, target_volume,
-                                             inner)
-            return list(zip(swept, outcomes)), error
+        def lift(chosen):
+            # lifts the chosen selections from ``whole`` into ``lifted``, by
+            # index; whether every lift succeeded
+            idx = np.flatnonzero(chosen).tolist()
+            outcomes, error = lift_to_target(
+                [selection_intersection(classes, sels[i]) for i in idx],
+                ([whole] * len(idx), None), target_volume, inner)
+            lifted.update(zip(idx, outcomes))
+            return error is None
+
+        def best():
+            return max(out.objective for out in lifted.values())
 
         first = bound >= bound.max() - 2.0 * margin
-        outs, error = lowest(first)
-        if error is None:
-            best = max(out.objective for _, out in outs)
-            more, error = lowest(~first & ~(bound + margin < best))
+        if lift(first) and lift(~first & ~(bound + margin < best())):
+            top = best()
+            near = [i for i in sorted(lifted)
+                    if lifted[i].objective + margin >= top]
+            if len(near) == 1:
+                return sels[near[0]], lifted[near[0]]
+            swept, polytopes, batch = _sweep(
+                classes, [sels[i] for i in near], settings)
+            outcomes, error = lift_to_target(polytopes, batch, target_volume,
+                                             inner)
             if error is None:
-                outs = dict(outs + more)
-                return _highest([(sel, outs[sel]) for sel in sels
-                                 if sel in outs])
+                return _highest(list(zip(swept, outcomes)))
     return _highest(_lowest(_sweep(classes, sels, settings), target_volume,
                             settings))
 
@@ -629,7 +654,8 @@ def theorem1_pipeline(classes: ColorClasses, target_volume: float,
     Then constructs the highest lowest-ellipsoid over (2d-1)-selections,
     pruning, where the cover settled, the selections whose height bound,
     slid down from their block's lowest ellipsoid, lies below one already
-    computed (``_highest_lowest``), normalizes it to the unit ball, cuts
+    computed, and lifting the rest from the cover's ellipsoid
+    (``_highest_lowest``), normalizes it to the unit ball, cuts
     with the height-1 half-space, extracts a common inscribed-ball radius
     over the remaining d+1 families, and finds the witness class by the
     translate search.

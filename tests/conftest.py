@@ -1,6 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# the report comparison of scripts/report_digests.py is tested as a module
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 settings.register_profile(
     "suite", deadline=None, max_examples=25,

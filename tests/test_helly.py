@@ -21,6 +21,7 @@ from quanthelly.instances import GeneratorSpec, generate
 
 from _oracles import (count_selections_oracle, enumerate_selections_oracle,
                       sample_ellipsoid_points)
+from report_digests import NUMERIC_RTOL
 
 
 def classes_of_boxes(*halfwidth_lists):
@@ -496,7 +497,7 @@ HIGHEST_CORPUS = {
 @functools.cache
 def _full_stage(name):
     """The corpus case's classes, target, k and the full stage's
-    (selection, lowest outcome) pairs."""
+    (selection, lowest outcome) pairs, each lifted from its MVIE."""
     cc, target = HIGHEST_CORPUS[name]()
     k = 2 * cc.dim - 1
     settings = SolverSettings()
@@ -504,42 +505,96 @@ def _full_stage(name):
         cc, colorful_selections(cc, k), settings), target, settings)
 
 
+@functools.cache
+def _cover_stage(name):
+    """The full stage's (selection, lowest outcome) pairs of the corpus
+    case, each lifted from the whole family's settled ellipsoid
+    (``_whole_cover``), as the pruned stage lifts the selections it bounds
+    by their heights; None where that cover does not settle."""
+    cc, target, k, outs = _full_stage(name)
+    settings = SolverSettings()
+    whole = helly._whole_cover(cc, target, settings)
+    if whole is None:
+        return None
+    sels = [sel for sel, _ in outs]
+    return list(zip(sels, solvers.solved(solvers.lift_to_target(
+        [selection_intersection(cc, sel) for sel in sels],
+        ([whole] * len(sels), None), target, helly._inner(settings)))))
+
+
+@pytest.fixture
+def recorded_stage(monkeypatch):
+    """A call that runs ``_highest_lowest`` and gives its pair, the
+    selections it lifted from the whole family's settled ellipsoid and
+    those it swept from their MVIEs, each in order: (pair, lifted, swept)."""
+    built, swept = [], []
+    intersection, sweep = helly.selection_intersection, helly._sweep
+
+    def building(classes, sel):
+        built.append(sel)
+        return intersection(classes, sel)
+
+    def sweeping(*args):
+        out = sweep(*args)
+        swept.extend(out[0])
+        return out
+
+    monkeypatch.setattr(helly, "selection_intersection", building)
+    monkeypatch.setattr(helly, "_sweep", sweeping)
+
+    def run(*args):
+        built.clear()
+        swept.clear()
+        pair = helly._highest_lowest(*args)
+        # the sweep, if any, builds its intersections last
+        lifted = built[:len(built) - len(swept)]
+        assert built[len(lifted):] == swept
+        return pair, lifted, list(swept)
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(HIGHEST_CORPUS))
-def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
+def test_pruned_stage_gives_the_full_stages_pair_bitwise(recorded_stage,
+                                                         name):
+    # The pruned stage picks the MVIE-started full sweep's selection.  Its
+    # ellipsoid is, bit for bit, that sweep's where it swept near-tied
+    # selections from their MVIEs, and otherwise the selection's lift from
+    # the whole family's settled ellipsoid.
     cc, target, k, outs = _full_stage(name)
     settings = SolverSettings()
     want_sel, want = helly._highest(outs)
-    solved = []
-    sweep = helly._sweep
-
-    def recording(classes, selections, settings):
-        out = sweep(classes, selections, settings)
-        solved.extend(out[0])
-        return out
-
     whole = helly._whole_cover(cc, target, settings)
-    monkeypatch.setattr(helly, "_sweep", recording)
-    sel, got = helly._highest_lowest(cc, k, target, settings, whole)
+    (sel, got), lifted, swept = recorded_stage(cc, k, target, settings, whole)
     assert sel == want_sel
+    if not swept:
+        want = dict(_cover_stage(name))[sel]
     for a, b in ((got.ellipsoid.shape, want.ellipsoid.shape),
                  (got.ellipsoid.center, want.ellipsoid.center)):
         assert a.tobytes() == b.tobytes()
     assert got.objective == want.objective
-    assert len(set(solved)) == len(solved)
+    assert len(set(lifted)) == len(lifted)
+    assert len(set(swept)) == len(swept)
     if name == "near-target":
-        assert solved == list(colorful_selections(cc, k))
-    elif name == "tie":
+        assert whole is None and lifted == []
+        assert swept == list(colorful_selections(cc, k))
+        return
+    assert whole is not None and set(swept) <= set(lifted)
+    if name == "tie":
         # eight selections lie within 1e-12 of the greatest height, the
         # next 5.5e-3 below it
         near = [s for s, o in outs if o.objective >= want.objective - 1e-12]
-        assert len(near) == 8 and set(near) <= set(solved)
+        assert len(near) == 8 and set(near) <= set(swept)
     elif name == "slide":
         # a first round of the selections whose bound lies near the top
-        # block's bound would be empty
+        # block's bound would be empty; the top heights are near ties
         blocks, bound = helly._height_bounds(cc, k, target, settings, whole)
         margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
         assert bound.max() < max(blocks.values()) - 2.0 * margin
-    elif name.startswith("common-ball"):
+    # the selections within the prune margin of the best height: eight near
+    # ties on tie and slide, two heights 1.3e-6 apart on common-ball-1
+    assert len(swept) == {"tie": 8, "slide": 8,
+                          "common-ball-1": 2}.get(name, 0)
+    if name.startswith("common-ball"):
         # the selection bounds prune at least what their blocks' bounds
         # would; on seed 3 only the top block is left, and each of its six
         # selections has a bound within 4e-5 of the best height
@@ -548,8 +603,37 @@ def test_pruned_stage_gives_the_full_stages_pair_bitwise(monkeypatch, name):
         unpruned = [s for s, _ in outs
                     if blocks[s.class_indices()] + margin >= want.objective]
         assert len(unpruned) < selection_count(cc, k)
-        assert len(solved) < len(unpruned) or name == "common-ball-3"
-        assert len(solved) <= len(unpruned)
+        assert len(lifted) < len(unpruned) or name == "common-ball-3"
+        assert len(lifted) <= len(unpruned)
+
+
+@pytest.mark.parametrize("name", sorted(set(HIGHEST_CORPUS) - {"near-target"}))
+def test_cover_started_lifts_agree_with_the_mvie_started_ones(name):
+    # Lifted from the whole family's settled ellipsoid, every selection's
+    # lowest ellipsoid and height agree with its MVIE-started lift within
+    # the numeric report tolerance, relative to max(1, |x|), and the
+    # selections whose height lies within the pruning margin of the
+    # highest, those the stage sweeps from their MVIEs, hold the full
+    # sweep's pick.  The cover-started heights pick that selection
+    # themselves except on ``tie`` and ``slide``, where the lowest
+    # ellipsoids of several selections rest on the same members: their
+    # heights, equal within 1e-12, order differently in the last bits.
+    cc, target, k, outs = _full_stage(name)
+    want_sel, want = helly._highest(outs)
+    lifts = _cover_stage(name)
+    for (sel, a), (_, b) in zip(lifts, outs):
+        for x, y in ((a.ellipsoid.shape, b.ellipsoid.shape),
+                     (a.ellipsoid.center, b.ellipsoid.center),
+                     (a.objective, b.objective)):
+            assert np.all(np.abs(np.subtract(x, y))
+                          <= NUMERIC_RTOL * np.maximum(1.0, np.abs(y)))
+    margin = helly._PRUNE_GAPS * helly._inner(SolverSettings()).gap_target
+    best = max(out.objective for _, out in lifts)
+    assert want_sel in [sel for sel, out in lifts
+                        if out.objective + margin >= best]
+    near_ties = name in ("tie", "slide")
+    assert (helly._highest(lifts)[0] == want_sel) != near_ties
+    assert abs(helly._highest(lifts)[1].objective - want.objective) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["common-ball-1", "common-ball-2",
@@ -562,20 +646,25 @@ def test_selection_bounds_hold_the_full_stages_heights(name):
     margin = helly._PRUNE_GAPS * helly._inner(settings).gap_target
     assert len(bound) == len(outs)
     assert np.isfinite(list(blocks.values())).all()
-    for (sel, out), b in zip(outs, bound):
-        assert out.objective <= b + margin
-        assert b <= blocks[sel.class_indices()]
+    # the heights lifted from each selection's MVIE and from the settled
+    # ellipsoid
+    for stage in (outs, _cover_stage(name)):
+        for (sel, out), b in zip(stage, bound):
+            assert out.objective <= b + margin
+            assert b <= blocks[sel.class_indices()]
 
 
-def test_a_settled_whole_cover_is_reused_without_cover_solves(monkeypatch):
-    # With the whole family's cover settled, the (2d-1) stage's LPs and
-    # MVIEs are the start LPs and MVIEs of the selections it sweeps.
-    cc, target = HIGHEST_CORPUS["common-ball-1"]()
+def test_a_settled_whole_cover_is_reused_without_cover_solves(
+        monkeypatch, recorded_stage):
+    # With the whole family's cover settled, the (2d-1) stage lifts every
+    # block cover and every selection it has not pruned from that cover's
+    # ellipsoid; with no near ties left to sweep, it runs no LP and no MVIE.
+    cc, target = HIGHEST_CORPUS["common-ball-2"]()
     settings = SolverSettings()
     whole = helly._whole_cover(cc, target, settings)
     assert whole is not None
-    lps, mvies, swept = [], [], []
-    lp, batch, sweep = geometry._lp, helly.mvie_batch, helly._sweep
+    lps, mvies = [], []
+    lp, batch = geometry._lp, helly.mvie_batch
 
     def counting_lp(*args):
         lps.append(args)
@@ -585,21 +674,18 @@ def test_a_settled_whole_cover_is_reused_without_cover_solves(monkeypatch):
         mvies.extend(polytopes)
         return batch(polytopes, *args)
 
-    def recording_sweep(*args):
-        out = sweep(*args)
-        swept.extend(out[0])
-        return out
-
     monkeypatch.setattr(geometry, "_lp", counting_lp)
     monkeypatch.setattr(helly, "mvie_batch", recording_batch)
-    monkeypatch.setattr(helly, "_sweep", recording_sweep)
-    sel, out = helly._highest_lowest(cc, 3, target, settings, whole)
-    assert 0 < len(swept) == len(mvies) == len(lps)
+    (sel, out), lifted, swept = recorded_stage(cc, 3, target, settings,
+                                               whole)
+    assert len(lifted) > 0 and swept == lps == mvies == []
     monkeypatch.undo()
-    # the full sweep gives the same pair
+    # the full sweep picks the same selection, and lifted from the same
+    # ellipsoid it gives the same outcome
     sel_b, out_b = helly._highest_lowest(cc, 3, target, settings, None)
     assert sel == sel_b
-    assert out.ellipsoid.center.tobytes() == out_b.ellipsoid.center.tobytes()
+    assert out.ellipsoid.center.tobytes() == \
+        dict(_cover_stage("common-ball-2"))[sel].ellipsoid.center.tobytes()
     checked, unchecked = (
         theorem1_pipeline(cc, target, check_hypothesis=check).to_dict()
         for check in (True, False))
