@@ -16,24 +16,11 @@ ellipsoids reach the greatest height exactly, the first selection in order
 defines the pipeline, so a report depends only on the instance and settings.
 
 theorem1 reads only a verdict and an argmax from its sweeps, so it solves
-one cover first (``_whole_cover``): the whole family's intersection, which
-lies inside every selection's.  An inscribed ellipsoid of it that clears
-the target settles the hypothesis check.  For a set T of classes, the cover
-K_T, the intersection of every member of T's classes (``_class_blocks``),
-lies inside every selection drawn from T's classes (T's block) and holds
-that ellipsoid, so a lowest ellipsoid E_T lifted in K_T from it bounds the
-heights of the block's selections from above.  Slid down inside a
-selection's members until it meets a wall, E_T bounds that selection's
-height lower still (``_height_bounds``), so a selection whose bound lies
-below a height already computed is pruned from the (2d-1)-selection sweep
-(``_highest_lowest``).  The selections left are lifted from the settled
-ellipsoid too, with no start LP and no MVIE.  Their heights prune again, so
-the stage picks the selection a sweep of every selection picks; where
-several near-tied selections remain, they are swept from their MVIEs, each
-with the bits of its lone solve, to pick among them as that sweep does.
-Its lowest ellipsoid agrees with that sweep's to the lift's gap target, and
-bit for bit after a near-tie sweep.  When the whole family's cover does not
-settle, both stages are full sweeps.
+the whole family's cover first (``_whole_cover``).  When that settles, it
+passes the hypothesis check and starts every lift of the (2d-1)-selection
+stage, which bounds and prunes the selections (``_height_bounds``,
+``_highest_lowest``).  Otherwise both stages are full sweeps, and the
+(2d-1) stage is one too when any lift from the cover fails.
 """
 from __future__ import annotations
 
@@ -170,10 +157,6 @@ def _plain(obj):
         return {"linear": obj.linear.tolist(), "shift": obj.shift.tolist()}
     if isinstance(obj, ColorfulSelection):
         return [list(p) for p in obj.picks]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -469,13 +452,13 @@ def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
     of the target volume at height h_T + s_S(v) v_d.  S's bound is the
     least of these over ``_slide_directions``, each step taken a hair short
     so that every translated slack stays nonnegative; it is at most h_T.
-    A block whose lift fails, or comes after one that fails, and each of
-    its selections, gets +inf."""
+    None when a block's lift fails."""
     blocks = _class_blocks(classes, k)
-    lifts, _ = lift_to_target(list(blocks.values()),
-                              ([whole] * len(blocks), None), target_volume,
-                              _inner(settings))
-    low = dict(zip(blocks, lifts))
+    lifts, error = lift_to_target(list(blocks.values()),
+                                  ([whole] * len(blocks), None),
+                                  target_volume, _inner(settings))
+    if error is not None:
+        return None
     dirs = _slide_directions(classes.dim)
     # per class: its members' rows stacked, their rates a . v, and where
     # each member's rows start
@@ -485,13 +468,8 @@ def _height_bounds(classes: ColorClasses, k: int, target_volume: float,
         walls.append((P, P.A @ dirs.T,
                      np.cumsum([0] + [len(Q.b) for Q in members[:-1]])))
     block_bounds, bounds = {}, []
-    for T in blocks:
-        if T not in low:
-            block_bounds[T] = math.inf
-            bounds.append(np.full(math.prod(len(classes.classes[c])
-                                            for c in T), math.inf))
-            continue
-        E, h = low[T].ellipsoid, low[T].objective
+    for T, low in zip(blocks, lifts):
+        E, h = low.ellipsoid, low.objective
         # the steps of every selection of T's block, built class by class
         # in itertools.product order, one row per selection
         steps = np.full((1, len(dirs)), math.inf)
@@ -516,56 +494,50 @@ def _highest_lowest(classes: ColorClasses, k: int, target_volume: float,
     Each selection's bound (``_height_bounds``, from the whole family's
     settled ellipsoid ``whole``) lies above its lowest height.  A lift ends
     feasible and centered, so its computed height exceeds that lowest
-    height by at most about one gap target, whatever its start.  The
-    selections whose bound lies within two ``_PRUNE_GAPS`` height-gap
-    targets of the highest bound are lifted first, from ``whole``, which
-    lies inside every selection, so with no start LP and no MVIE.  A
-    selection whose bound plus ``_PRUNE_GAPS`` gap targets lies below their
-    best height can be neither the highest selection nor one tied with it,
-    so only the others are lifted, in one more round.  By the same margin,
-    only the lifted selections whose height lies within ``_PRUNE_GAPS`` gap
-    targets of the best can be the full sweep's pick.  When that is one
-    selection, it is the pick, returned with its lift from ``whole``, which
-    agrees with its lift from its MVIE to the lift's gap target.  When it
-    is several, near ties whose last bits order them differently from one
-    start to another, they are swept from their MVIEs as the full sweep
-    solves them, each with the bits of its lone solve, so the pair, and the
-    first of exact ties in selection order, are the full sweep's.  With no
-    settled ellipsoid (``whole`` None), or when a lift or that sweep fails,
-    the full sweep runs, and raises its first error."""
+    height by at most about one gap target, whatever its start.  Two rounds
+    lift selections from ``whole``, which lies inside every selection, so
+    with no start LP and no MVIE: first those whose bound lies within two
+    ``_PRUNE_GAPS`` height-gap targets of the highest bound, then those
+    whose bound plus ``_PRUNE_GAPS`` gap targets does not lie below the
+    best height lifted; the others can be neither the highest selection nor
+    one tied with it.  By the same margin, only the lifted selections whose
+    height lies within ``_PRUNE_GAPS`` gap targets of the best can be the
+    full sweep's pick.  When that is one selection, it is the pick,
+    returned with its lift from ``whole``, which agrees with its lift from
+    its MVIE to the lift's gap target.  When it is several, near ties whose
+    last bits order them differently from one start to another, the sweep
+    runs on them alone, each with the bits of its lone solve, so the pair,
+    and the first of exact ties in selection order, are the full sweep's.
+    With no settled ellipsoid (``whole`` None), or when any lift from it
+    fails, a block's included, the sweep runs on every selection.  The
+    sweep raises its first error."""
     sels = list(colorful_selections(classes, k))
-    if whole is not None:
+    bounds = (None if whole is None
+              else _height_bounds(classes, k, target_volume, settings, whole))
+    if bounds is not None:
         inner = _inner(settings)
-        _, bound = _height_bounds(classes, k, target_volume, settings, whole)
         margin = _PRUNE_GAPS * inner.gap_target
+        _, bound = bounds
         lifted = {}
-
-        def lift(chosen):
-            # lifts the chosen selections from ``whole`` into ``lifted``, by
-            # index; whether every lift succeeded
+        chosen = bound >= bound.max() - 2.0 * margin
+        for _ in range(2):
             idx = np.flatnonzero(chosen).tolist()
             outcomes, error = lift_to_target(
                 [selection_intersection(classes, sels[i]) for i in idx],
                 ([whole] * len(idx), None), target_volume, inner)
+            if error is not None:
+                break
             lifted.update(zip(idx, outcomes))
-            return error is None
-
-        def best():
-            return max(out.objective for out in lifted.values())
-
-        first = bound >= bound.max() - 2.0 * margin
-        if lift(first) and lift(~first & ~(bound + margin < best())):
-            top = best()
+            top = max(out.objective for out in lifted.values())
+            # the selections neither lifted nor pruned
+            chosen = ~(bound + margin < top)
+            chosen[list(lifted)] = False
+        else:
             near = [i for i in sorted(lifted)
                     if lifted[i].objective + margin >= top]
             if len(near) == 1:
                 return sels[near[0]], lifted[near[0]]
-            swept, polytopes, batch = _sweep(
-                classes, [sels[i] for i in near], settings)
-            outcomes, error = lift_to_target(polytopes, batch, target_volume,
-                                             inner)
-            if error is None:
-                return _highest(list(zip(swept, outcomes)))
+            sels = [sels[i] for i in near]
     return _highest(_lowest(_sweep(classes, sels, settings), target_volume,
                             settings))
 

@@ -1,7 +1,7 @@
-"""No module in src/ or scripts/ imports a name at top level that it never
-uses: every such name is read somewhere in the module or listed in its
-``__all__``.  ``from __future__`` imports are compiler directives and are
-skipped."""
+"""No module in src/, scripts/ or tests/ imports a name at top level that
+it never uses: every such name is read somewhere in the module or listed in
+its ``__all__``.  ``from __future__`` imports are compiler directives and
+are skipped."""
 import ast
 from pathlib import Path
 
@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"),
-                  *(ROOT / "scripts").rglob("*.py")])
+                  *(ROOT / "scripts").rglob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def dead_imports(text: str) -> list:

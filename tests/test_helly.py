@@ -694,6 +694,62 @@ def test_a_settled_whole_cover_is_reused_without_cover_solves(
     assert checked == unchecked
 
 
+def test_a_failed_block_lift_hands_the_stage_to_the_full_sweep(
+        monkeypatch, recorded_stage):
+    # With an error in the block stack's lifts no selection is bounded, so
+    # the stage lifts nothing from the settled ellipsoid and is the
+    # MVIE-started full sweep, bit for bit, although common-ball-2 has no
+    # near ties to sweep.
+    cc, target, k, outs = _full_stage("common-ball-2")
+    settings = SolverSettings()
+    whole = helly._whole_cover(cc, target, settings)
+    assert whole is not None
+    lift, sizes = helly.lift_to_target, []
+
+    def failing_first_lift(polytopes, *args):
+        sizes.append(len(polytopes))
+        outcomes, error = lift(polytopes, *args)
+        if len(sizes) == 1:
+            return outcomes[:1], MaxIterations("injected")
+        return outcomes, error
+
+    monkeypatch.setattr(helly, "lift_to_target", failing_first_lift)
+    (sel, got), lifted, swept = recorded_stage(cc, k, target, settings,
+                                               whole)
+    assert sizes[0] == len(helly._class_blocks(cc, k))
+    want_sel, want = helly._highest(outs)
+    assert sel == want_sel
+    for a, b in ((got.ellipsoid.shape, want.ellipsoid.shape),
+                 (got.ellipsoid.center, want.ellipsoid.center)):
+        assert a.tobytes() == b.tobytes()
+    assert got.objective == want.objective
+    assert lifted == [] and swept == [s for s, _ in outs]
+
+
+def test_a_loose_gap_target_settles_no_cover(monkeypatch):
+    # Above a gap target of 1e-7 the settle headroom does not cover a
+    # solve's gap, so there is no threshold and no settled cover: theorem1
+    # checks every 2d-selection and sweeps every (2d-1)-selection in full.
+    cc, target = HIGHEST_CORPUS["common-ball-2"]()
+    settings = SolverSettings(gap_target=1e-6)
+    assert solvers.settle_threshold(target, cc.dim,
+                                    helly._inner(settings)) is None
+    assert helly._whole_cover(cc, target, settings) is None
+    swept, sweep = [], helly._sweep
+
+    def sweeping(*args):
+        out = sweep(*args)
+        swept.append(out[0])
+        return out
+
+    monkeypatch.setattr(helly, "_sweep", sweeping)
+    theorem1_pipeline(cc, target, settings)
+    # the 4-selection check, the 3-selection stage and the (d+2) sweep
+    assert len(swept) == 3
+    assert swept[:2] == [list(colorful_selections(cc, 4)),
+                         list(colorful_selections(cc, 3))]
+
+
 def test_pruned_stage_skips_a_block_whose_lifts_run_out():
     # The three low classes' block holds 400x2 boxes, whose solves take
     # more than 55 Newton steps.  Its cover, the 2x2
